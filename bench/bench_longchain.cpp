@@ -144,8 +144,7 @@ ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
   r.split_depth = tuning.chain_split_depth;
   Engine e;
   settle_rhs(e, values);
-  ParallelMatcher matcher(e.net(), workers, TaskQueueSet::Policy::Steal,
-                          nullptr, tuning);
+  ParallelMatcher matcher(e.net(), workers, nullptr, tuning);
   matcher.register_agent(e.state());
   const auto heads = head_texts(values);
   r.cs_ok = true;
@@ -154,7 +153,7 @@ ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
     for (const auto& h : heads) added.push_back(e.add_wme_text(h));
     SeedCollector sc;
     for (const Wme* w : added) e.net().inject(w, true, sc);
-    r.stats.accumulate(matcher.run_cycle(std::move(sc.seeds)));
+    r.stats.accumulate(matcher.run_cycle(sc.seeds));
     e.wm().end_cycle();
     r.cs_peak = e.cs().size();
     r.cs_ok = r.cs_ok && r.cs_peak == expect_cs_peak;
@@ -164,7 +163,7 @@ ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
       e.net().inject(w, false, del);
       e.wm().remove(w);
     }
-    matcher.run_cycle(std::move(del.seeds));
+    matcher.run_cycle(del.seeds);
     e.wm().end_cycle();
   }
   return r;
@@ -238,8 +237,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Headline: does splitting lift the worst large-cycle speedup at the wide
-  // end? Compare the 8-worker configurations.
+  // Headline: which chain-splitting tuning is fastest at the wide end?
+  // Compare all three 8-worker configurations.
   auto wall_of = [&](uint32_t split) {
     for (const ParResult& r : records) {
       if (r.workers == 8 && r.split_depth == split) {
@@ -251,12 +250,20 @@ int main(int argc, char** argv) {
   const double wall_every = wall_of(1);
   const double wall_split = wall_of(kDefault.chain_split_depth);
   const double wall_never = wall_of(0);
+  const char* fastest = "split-every-link";
+  uint32_t fastest_split = 1;
+  if (wall_split < wall_every && wall_split <= wall_never) {
+    fastest = "default split";
+    fastest_split = kDefault.chain_split_depth;
+  } else if (wall_never < wall_every && wall_never < wall_split) {
+    fastest = "never-split";
+    fastest_split = 0;
+  }
   std::fprintf(stderr,
                "\n8 workers: split-every-link %.2f ms, split@%u %.2f ms, "
-               "never-split %.2f ms (%s)\n",
+               "never-split %.2f ms (fastest: %s)\n",
                wall_every * 1e3, kDefault.chain_split_depth, wall_split * 1e3,
-               wall_never * 1e3,
-               wall_split < wall_every ? "splitting wins" : "every-link wins");
+               wall_never * 1e3, fastest);
 
   // Virtual-processor sweep over the recorded serial traces: the chain-bound
   // saturation curve, out to VP counts far past the paper's 13.
@@ -319,6 +326,7 @@ int main(int argc, char** argv) {
   j.field("wall_never_split", wall_never);
   j.field("default_split_depth",
           static_cast<uint64_t>(kDefault.chain_split_depth));
+  j.field("fastest_split_depth", static_cast<uint64_t>(fastest_split));
   j.end_object();
   j.begin_array("vp_sweep");
   for (const VpPoint& p : vp) {

@@ -1,11 +1,10 @@
-// Microbenchmarks (google-benchmark) of the core operations: join probes,
-// token operations, queue push/pop, spinlock acquire, wme injection, and
-// run-time production addition.
+// Microbenchmarks (google-benchmark) of the core operations: symbol and
+// value hashing, spinlock acquire, wme injection, run-time production
+// addition, and one simulated cycle.
 #include <benchmark/benchmark.h>
 
 #include "engine/engine.h"
 #include "lang/parser.h"
-#include "par/task_queue.h"
 #include "psim/sim.h"
 #include "tasks/registry.h"
 
@@ -28,14 +27,6 @@ void BM_ValueHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueHash);
 
-void BM_TokenExtend(benchmark::State& state) {
-  Wme w;
-  TokenData t;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) t.push_back(&w);
-  for (auto _ : state) benchmark::DoNotOptimize(token_extend(t, &w));
-}
-BENCHMARK(BM_TokenExtend)->Arg(4)->Arg(16)->Arg(43);
-
 void BM_SpinlockUncontended(benchmark::State& state) {
   Spinlock lock;
   for (auto _ : state) {
@@ -44,18 +35,6 @@ void BM_SpinlockUncontended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpinlockUncontended);
-
-void BM_QueuePushPop(benchmark::State& state) {
-  const auto policy = state.range(0) == 0 ? TaskQueueSet::Policy::Single
-                                          : TaskQueueSet::Policy::Multi;
-  TaskQueueSet q(policy, 8);
-  Activation a;
-  for (auto _ : state) {
-    q.push(0, Activation{});
-    benchmark::DoNotOptimize(q.pop(0, a));
-  }
-}
-BENCHMARK(BM_QueuePushPop)->Arg(0)->Arg(1);
 
 void BM_WmeAddRemoveMatch(benchmark::State& state) {
   Engine e;

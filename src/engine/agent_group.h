@@ -34,9 +34,8 @@ struct AgentGroupOptions {
   /// Worker threads of the shared matcher (>=1; the calling thread is
   /// worker 0, exactly as in a standalone parallel Engine).
   size_t workers = 4;
-  TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;
   StealTuning steal;
-  /// Per-agent engine options. match_workers/match_policy/steal/trace are
+  /// Per-agent engine options. match_workers/steal/trace are
   /// overridden by the group (shared matcher, shared tracer); hash_lines,
   /// arena_chunk_bytes, record_traces and builder apply per agent.
   EngineOptions agent;

@@ -102,8 +102,8 @@ ParallelMatcher& Engine::matcher() {
   if (external_matcher_ != nullptr) return *external_matcher_;
   if (!matcher_) {
     matcher_ = std::make_unique<ParallelMatcher>(
-        net(), state_, opts_.match_workers, opts_.match_policy, tracer_.get(),
-        opts_.steal, profiler_.get());
+        net(), state_, opts_.match_workers, tracer_.get(), opts_.steal,
+        profiler_.get());
   }
   return *matcher_;
 }
@@ -151,26 +151,20 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
                      cp.first_new_id);
-      const ParallelStats st =
-          m.run_update(update_alpha_seeds(net(), cp, wm_snapshot, agent_),
-                       {cp.first_new_id, true});
-      tasks += st.tasks;
+      auto seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
+      tasks += m.run_update(seeds, {cp.first_new_id, true}).tasks;
     }
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
                      cp.first_new_id);
-      const ParallelStats st =
-          m.run_update(update_right_seeds(net(), state_, cp, agent_),
-                       {cp.first_new_id, false});
-      tasks += st.tasks;
+      auto seeds = update_right_seeds(net(), state_, cp, agent_);
+      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
     }
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
                      cp.first_new_id);
-      const ParallelStats st =
-          m.run_update(update_left_seeds(net(), state_, cp, agent_),
-                       {cp.first_new_id, false});
-      tasks += st.tasks;
+      auto seeds = update_left_seeds(net(), state_, cp, agent_);
+      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
     }
   } else {
     TraceExecutor ex(net(), state_, opts_.record_traces);
@@ -187,20 +181,21 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
                      cp.first_new_id);
-      ab = ex.run_to_quiescence(
-          update_alpha_seeds(net(), cp, wm_snapshot, agent_));
+      auto seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
+      ab = ex.run_to_quiescence(seeds);
     }
     ex.suppress_alpha_left = false;
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
                      cp.first_new_id);
-      ab.append(ex.run_to_quiescence(
-          update_right_seeds(net(), state_, cp, agent_)));
+      auto seeds = update_right_seeds(net(), state_, cp, agent_);
+      ab.append(ex.run_to_quiescence(seeds));
     }
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
                      cp.first_new_id);
-      c = ex.run_to_quiescence(update_left_seeds(net(), state_, cp, agent_));
+      auto seeds = update_left_seeds(net(), state_, cp, agent_);
+      c = ex.run_to_quiescence(seeds);
     }
     tasks = ex.executed();
     if (res != nullptr) {
@@ -214,16 +209,18 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
 Engine::RuntimeRemoveResult Engine::remove_production_runtime(
     const Production* p) {
   RuntimeRemoveResult res;
-#if PSME_NET_VERIFY
-  // The AST dies in finish_removal; keep the name for diagnostics.
-  const std::string name(cnet_->syms().name(p->name));
-#endif
   obs::Span remove_span(trace_sink_, trace_track_,
                         obs::EventKind::ProdRemove);
   // Plan + unsplice under COW; the publish inside is the safe point. Past
   // it the victim can never fire, but its nodes are still alive — agents
-  // drain their state against them before anything is freed.
+  // drain their state against them before anything is freed. unsplice_cow
+  // rejects a production that is not loaded (null, or already removed)
+  // before anything dereferences `p`.
   const RemovePlan plan = cnet_->unsplice_cow(p, &res.refs_unspliced);
+#if PSME_NET_VERIFY
+  // The AST dies in finish_removal; keep the name for diagnostics.
+  const std::string name(cnet_->syms().name(p->name));
+#endif
   remove_span.set_node(plan.pnode);
   const auto* pnode = static_cast<const ProdNode*>(net().node(plan.pnode));
   for (Engine* agent : cnet_->agents()) {
@@ -309,6 +306,7 @@ const Wme* Engine::add_wme_text(std::string_view text) {
 }
 
 void Engine::remove_wme(const Wme* w) {
+  if (w == nullptr) throw std::invalid_argument("remove_wme: null wme");
   if (!wm_.remove(w)) return;
   // A wme added and removed within the same batch never reaches the network:
   // cancel the pending add instead of queuing a retraction that would be
@@ -352,14 +350,14 @@ CycleTrace Engine::match() {
     if (!seeds.empty() || pending_adds_.empty()) {
       obs::Span span(trace_sink_, trace_track_,
                      obs::EventKind::DrainRemoves);
-      total = matcher().run_cycle_inplace(seeds);
+      total = matcher().run_cycle(seeds);
       seeds.clear();
     }
     if (!pending_adds_.empty()) {
       obs::Span span(trace_sink_, trace_track_,
                      obs::EventKind::DrainAdds);
       for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-      total.accumulate(matcher().run_cycle_inplace(seeds));
+      total.accumulate(matcher().run_cycle(seeds));
     }
     last_parallel_stats_ = total;
   } else {
@@ -367,7 +365,7 @@ CycleTrace Engine::match() {
     for (const Wme* w : pending_removes_) net().inject(w, false, cc);
     for (const Wme* w : pending_adds_) net().inject(w, true, cc);
     state_.arena.begin_drain(1);
-    trace = serial_exec_.run_to_quiescence_inplace(seeds);
+    trace = serial_exec_.run_to_quiescence(seeds);
     state_.arena.reclaim_at_quiescence();
   }
   pending_removes_.clear();

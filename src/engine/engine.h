@@ -36,6 +36,14 @@ namespace analysis {
 struct VerifyReport;
 }
 
+/// Vestigial scheduler selector: ParallelMatcher has one scheduler (work
+/// stealing), so this enum has one value and nothing reads it. It exists only
+/// because perfbench/ sets EngineOptions::match_policy by this name; a later
+/// change to the benchmark drops both.
+struct TaskQueueSet {
+  enum class Policy { Steal };
+};
+
 struct EngineOptions {
   size_t hash_lines = 4096;
   BuilderOptions builder;  // ignored in attach mode (the network exists)
@@ -53,13 +61,14 @@ struct EngineOptions {
   /// the serial default for psim trace collection. Ignored in attach mode
   /// (the shared matcher's worker count governs).
   size_t match_workers = 0;
+  /// Unread; see TaskQueueSet above.
   TaskQueueSet::Policy match_policy = TaskQueueSet::Policy::Steal;
 
-  /// Steal-scheduler tuning: the idle path's sweep-backoff ladder
+  /// Scheduler tuning: the idle path's sweep-backoff ladder
   /// (steal.backoff_*) and the dependent-chain split depth
   /// (steal.chain_split_depth; 0 = never split, 1 = split every link).
-  /// Ignored by the locked policies. network_lint's cost table reports each
-  /// production's chain depth against this split depth as the tuning hint.
+  /// network_lint's cost table reports each production's chain depth
+  /// against this split depth as the tuning hint.
   StealTuning steal;
 
   /// Tracing (src/obs). When enabled the engine owns a Tracer: track 0
@@ -76,9 +85,9 @@ struct EngineOptions {
   /// MatchProfiler wired into both executors (serial and parallel): every
   /// executed task is attributed to its (node, agent) cell in the executing
   /// worker's shard. Shards are preallocated/grown only at quiescent drain
-  /// boundaries, so profiling preserves the §10 guarantee under all four
-  /// policies (engine_alloc_test proves it). Read via profiler()/snapshot
-  /// at quiescence; production attribution happens at reporting time
+  /// boundaries, so profiling preserves the §10 guarantee in both executors
+  /// (engine_alloc_test proves it). Read via profiler()/snapshot at
+  /// quiescence; production attribution happens at reporting time
   /// (analysis/profile_report.h). In attach mode the group owns the shared
   /// profiler instead (AgentGroupOptions::profile) and this flag is ignored.
   bool profile = false;
@@ -163,7 +172,8 @@ class Engine {
   /// machinery: the unpins make the dead entries' chunks collectable at the
   /// next arena reclaim boundary. Quiescent-only, like addition; pending
   /// wme changes are allowed and stay pending (they never saw the victim).
-  /// Throws std::out_of_range for a production this network never compiled.
+  /// Throws std::out_of_range for a production that is not loaded here —
+  /// never compiled, already removed, or null — and changes nothing.
   struct RuntimeRemoveResult {
     size_t nodes_removed = 0;    // victim-owned nodes freed (incl. P-node)
     size_t refs_unspliced = 0;   // jumptable successor entries erased
@@ -186,6 +196,7 @@ class Engine {
   const Wme* add_wme_text(std::string_view text);
 
   /// Removes `w` from WM now and queues its retraction for the next match().
+  /// Throws std::invalid_argument for a null `w`.
   void remove_wme(const Wme* w);
 
   /// Injects all queued changes and runs the match to quiescence. One call

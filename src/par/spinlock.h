@@ -1,8 +1,7 @@
 // Instrumented test-and-test-and-set spinlock.
 //
 // The paper measures contention as "spins before the lock is acquired"
-// (spins/access for hash-bucket lines, spins/task for the task queue), so the
-// lock counts its own spins. Counters are relaxed atomics: they are
+// (spins/access for hash-bucket lines), so the lock counts its own spins. Counters are relaxed atomics: they are
 // diagnostics, not synchronization.
 //
 // Every Spinlock carries a LockRank (see par/lock_order.h). In builds with

@@ -17,7 +17,6 @@ EngineOptions with_match_override(const SoarOptions& opts) {
   EngineOptions eo = opts.engine;
   if (opts.match_workers != 0) {
     eo.match_workers = opts.match_workers;
-    eo.match_policy = opts.match_policy;
     eo.record_traces = eo.record_traces && opts.match_workers <= 1;
   }
   return eo;

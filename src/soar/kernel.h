@@ -41,11 +41,10 @@ struct SoarOptions {
   EngineOptions engine;
 
   /// Convenience override: when non-zero, forwarded into
-  /// engine.match_workers/match_policy so a whole Soar run (every
+  /// engine.match_workers so a whole Soar run (every
   /// elaboration cycle plus every chunk's §5.2 state update) drains through
   /// one persistent ParallelMatcher. Parallel cycles record no traces.
   size_t match_workers = 0;
-  TaskQueueSet::Policy match_policy = TaskQueueSet::Policy::Steal;
 
   /// Flight recorder (obs/profiler.h): when non-zero, run() captures a
   /// (metrics + profile) snapshot into a preallocated ring every

@@ -15,6 +15,7 @@
 #include "engine/agent_group.h"
 #include "engine/engine.h"
 #include "query/query.h"
+#include "test_util.h"
 
 namespace psme {
 namespace {
@@ -196,6 +197,32 @@ TEST(Removal, UnknownProductionThrows) {
       other.load("(p foreign (block ^name <b>) --> (halt))");
   ASSERT_EQ(prods.size(), 1u);
   EXPECT_THROW(e.remove_production_runtime(prods[0]), std::out_of_range);
+}
+
+TEST(Removal, MisuseAtRemovalEntryPointsIsRejected) {
+  // A second remove of the same production, a null production and a null
+  // wme are each reported as an error and leave the conflict set as it was.
+  // Under PSME_NET_VERIFY (every sanitizer build) the double remove must
+  // not touch the freed AST before the lookup rejects it.
+  Engine e;
+  const auto prods = e.load(
+      "(p keep (block ^name <b> ^color blue) (block ^on <b>) --> (halt))"
+      "(p victim (block ^name <b>) (gripper ^state free) --> (halt))");
+  ASSERT_EQ(prods.size(), 2u);
+  seed_stack(e);
+  e.remove_production_runtime(prods[1]);
+  const auto cs_before = test::cs_fingerprint(e);
+  ASSERT_FALSE(cs_before.empty());
+
+  EXPECT_THROW(e.remove_production_runtime(prods[1]), std::out_of_range);
+  EXPECT_THROW(e.remove_production_runtime(nullptr), std::out_of_range);
+  EXPECT_THROW(e.remove_wme(nullptr), std::invalid_argument);
+  e.match();
+
+  EXPECT_EQ(test::cs_fingerprint(e), cs_before);
+  EXPECT_EQ(e.productions().size(), 1u);
+  const auto rep = e.verify_network();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(Removal, RemoveLastProductionEmptiesNetwork) {
