@@ -105,9 +105,7 @@ size_t serial_oracle_cs(int rounds, int wave) {
   e.load(bench_productions());
   TraceExecutor ex(e.net(), e.state(), /*record_tasks=*/false);
   run_script(e, rounds, wave, [&](std::vector<Activation>& seeds) {
-    e.state().arena.begin_drain(1);
     ex.run_to_quiescence(seeds);
-    e.state().arena.reclaim_at_quiescence();
   });
   return e.cs().size();
 }

@@ -14,6 +14,15 @@ namespace psme {
 std::vector<const Production*> CompiledNetwork::load(std::string_view src) {
   Parser parser(syms_, schemas_, ast_arena_);
   auto parsed = parser.parse_file(src);
+  for (auto it = parsed.begin(); it != parsed.end(); ++it) {
+    reject_loaded_name(it->name);
+    for (auto prev = parsed.begin(); prev != it; ++prev) {
+      if (prev->name == it->name) {
+        throw std::invalid_argument("duplicate production name '" +
+                                    std::string(syms_.name(it->name)) + "'");
+      }
+    }
+  }
   std::vector<const Production*> out;
   out.reserve(parsed.size());
   for (Production& p : parsed) {
@@ -22,6 +31,21 @@ std::vector<const Production*> CompiledNetwork::load(std::string_view src) {
     out.push_back(adopted);
   }
   return out;
+}
+
+const Production* CompiledNetwork::adopt(Production&& ast) {
+  reject_loaded_name(ast.name);
+  return store_.adopt(std::move(ast));
+}
+
+void CompiledNetwork::reject_loaded_name(Symbol name) const {
+  for (const Production* p : productions_) {
+    if (p->name == name) {
+      throw std::invalid_argument("production '" +
+                                  std::string(syms_.name(name)) +
+                                  "' is already loaded");
+    }
+  }
 }
 
 const AddRecord& CompiledNetwork::compile_cow(const Production* p) {

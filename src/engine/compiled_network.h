@@ -54,10 +54,14 @@ class CompiledNetwork {
   /// Build-time path: no COW (no agent is matching yet by contract), no
   /// per-agent state update — callers with live working memories run the
   /// §5.2 update themselves (Engine::load does, for every attached agent).
+  /// Throws std::invalid_argument, adopting nothing, when a production name
+  /// repeats within `src` or names a production already loaded.
   std::vector<const Production*> load(std::string_view src);
 
   /// Adopts a run-time AST (chunk) into the store without compiling it.
-  const Production* adopt(Production&& ast) { return store_.adopt(std::move(ast)); }
+  /// Throws std::invalid_argument, adopting nothing, when its name is
+  /// already loaded (a removed production's name is free again).
+  const Production* adopt(Production&& ast);
 
   /// Run-time compile: splices `p` into a copy-on-write clone of the
   /// jumptable and publishes the clone (this call IS the safe point — the
@@ -130,6 +134,8 @@ class CompiledNetwork {
 
  private:
   const AddRecord& finish(const Production* p, CompiledProduction&& cp);
+  /// Throws std::invalid_argument when `name` is already loaded.
+  void reject_loaded_name(Symbol name) const;
   /// PSME_NET_VERIFY hooks: abort with the full report on violation.
   void debug_verify_after_add(const Production* p) const;
   void debug_verify_after_remove(const std::string& name) const;

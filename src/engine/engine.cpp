@@ -71,11 +71,7 @@ std::vector<const Production*> Engine::load(std::string_view src) {
   for (const Production* p : out) {
     const CompiledProduction& cp = cnet_->record(p).compiled;
     for (Engine* agent : cnet_->agents()) {
-      const auto snapshot = agent->wm_.live();
-      if (snapshot.empty()) continue;
-      run_update_serial(net(), agent->state_, cp, snapshot,
-                        agent->update_scratch_, agent->trace_sink_,
-                        agent->trace_track_);
+      if (agent->wm_.size() != 0) agent->apply_runtime_update(cp, nullptr);
     }
 #if PSME_NET_VERIFY
     debug_verify_after_add(p);
@@ -142,66 +138,39 @@ Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
 uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
                                       RuntimeAddResult* res) {
   const auto wm_snapshot = wm_.live();
-  uint64_t tasks = 0;
   if (parallel()) {
     // The §5.2 state update with full match parallelism (Figure 6-9's
-    // regime): phases A and B under the task filter, then the
-    // last-shared-node replay once both have drained.
+    // regime): every phase is one threaded drain under the task filter.
     ParallelMatcher& m = matcher();
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
-                     cp.first_new_id);
-      auto seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
-      tasks += m.run_update(seeds, {cp.first_new_id, true}).tasks;
-    }
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
-                     cp.first_new_id);
-      auto seeds = update_right_seeds(net(), state_, cp, agent_);
-      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
-    }
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
-                     cp.first_new_id);
-      auto seeds = update_left_seeds(net(), state_, cp, agent_);
-      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
-    }
-  } else {
-    TraceExecutor ex(net(), state_, opts_.record_traces);
-    ex.set_tracer(trace_sink_, trace_track_);
-    // The §5.2 update IS the evaluation for a transient query: without the
-    // profiler, a cue's new-node activations would be invisible to the
-    // per-CE costing (query_demo --profile / bench_query).
-    ex.set_profiler(profiler());
-    ex.update_mode = true;
-    ex.min_node_id = cp.first_new_id;
-
-    ex.suppress_alpha_left = true;
-    CycleTrace ab, c;
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
-                     cp.first_new_id);
-      auto seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
-      ab = ex.run_to_quiescence(seeds);
-    }
-    ex.suppress_alpha_left = false;
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
-                     cp.first_new_id);
-      auto seeds = update_right_seeds(net(), state_, cp, agent_);
-      ab.append(ex.run_to_quiescence(seeds));
-    }
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
-                     cp.first_new_id);
-      auto seeds = update_left_seeds(net(), state_, cp, agent_);
-      c = ex.run_to_quiescence(seeds);
-    }
-    tasks = ex.executed();
-    if (res != nullptr) {
-      res->ab = std::move(ab);
-      res->c = std::move(c);
-    }
+    return run_update_phases(
+        net(), state_, cp, wm_snapshot, agent_, update_scratch_,
+        [&m](std::vector<Activation>& seeds, const UpdateFilter& filter,
+             UpdatePhase) { return m.run_cycle(seeds, &filter).tasks; },
+        trace_sink_, trace_track_);
+  }
+  // The persistent serial executor records the update's task DAG: phases A
+  // and B (which may run concurrently) into `ab`, the replay into `c`. Its
+  // profiler matters too: the §5.2 update IS the evaluation for a transient
+  // query, so without it a cue's new-node activations would be invisible to
+  // the per-CE costing (query_demo --profile / bench_query).
+  CycleTrace ab, c;
+  const uint64_t tasks = run_update_phases(
+      net(), state_, cp, wm_snapshot, agent_, update_scratch_,
+      [&](std::vector<Activation>& seeds, const UpdateFilter& filter,
+          UpdatePhase phase) {
+        const uint64_t before = serial_exec_.executed();
+        CycleTrace t = serial_exec_.run_to_quiescence(seeds, &filter);
+        switch (phase) {
+          case UpdatePhase::A: ab = std::move(t); break;
+          case UpdatePhase::B: ab.append(std::move(t)); break;
+          case UpdatePhase::C: c = std::move(t); break;
+        }
+        return serial_exec_.executed() - before;
+      },
+      trace_sink_, trace_track_);
+  if (res != nullptr) {
+    res->ab = std::move(ab);
+    res->c = std::move(c);
   }
   return tasks;
 }
@@ -364,9 +333,7 @@ CycleTrace Engine::match() {
     CollectCtx cc(seeds, agent_);
     for (const Wme* w : pending_removes_) net().inject(w, false, cc);
     for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-    state_.arena.begin_drain(1);
     trace = serial_exec_.run_to_quiescence(seeds);
-    state_.arena.reclaim_at_quiescence();
   }
   pending_removes_.clear();
   pending_adds_.clear();

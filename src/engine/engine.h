@@ -54,8 +54,8 @@ struct EngineOptions {
   /// bench_tokens sweeps this knob (see BENCH_tokens.json).
   uint32_t arena_chunk_bytes = TokenArena::kDefaultChunkBytes;
 
-  /// >1 switches match() and the §5.2 runtime-add state update to the
-  /// threaded ParallelMatcher with this many workers. The matcher (and its
+  /// >1 switches match() and every §5.2 state update (load onto a live WM,
+  /// runtime add) to the threaded ParallelMatcher with this many workers. The matcher (and its
   /// worker pool) is created once and persists across cycles. Parallel
   /// cycles record no per-task trace (CycleTrace comes back empty), so keep
   /// the serial default for psim trace collection. Ignored in attach mode
@@ -136,7 +136,8 @@ class Engine {
   /// Parses and compiles a source string (literalize forms + productions)
   /// into the shared network. Every attached agent with a non-empty working
   /// memory gets its memories updated via the §5.2 algorithm. Returns the
-  /// adopted productions.
+  /// adopted productions. Throws std::invalid_argument, adopting nothing,
+  /// when a production name repeats or is already loaded.
   std::vector<const Production*> load(std::string_view src);
 
   /// Compilation record of a loaded production.
@@ -152,7 +153,9 @@ class Engine {
   /// agent's memories from its own WM (§5.2) — this session first, so the
   /// returned traces are the learning agent's. Returns the traces of the
   /// update phases (`ab`: alpha+right fill, which may run concurrently;
-  /// `c`: the last-shared-node replay, which must follow).
+  /// `c`: the last-shared-node replay, which must follow). Throws
+  /// std::invalid_argument, adopting nothing, when `ast`'s name is already
+  /// loaded.
   struct RuntimeAddResult {
     const Production* prod = nullptr;
     CycleTrace ab, c;
@@ -312,8 +315,10 @@ class Engine {
 
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
   ParallelMatcher& matcher();
-  /// One agent's §5.2 state update after a runtime add. Returns executed
-  /// task count; fills `res` (traces) when non-null (the learning agent).
+  /// One agent's §5.2 state update after a load or runtime add, drained
+  /// through this agent's executor (the persistent serial one, or the
+  /// matcher). Returns executed task count; fills `res` (traces) when
+  /// non-null (the learning agent).
   uint64_t apply_runtime_update(const CompiledProduction& cp,
                                 RuntimeAddResult* res);
   /// PSME_NET_VERIFY hooks: abort with the full report on violation.
@@ -343,7 +348,7 @@ class Engine {
   TraceExecutor serial_exec_;
   std::vector<Activation> seed_scratch_;
   WmeDelta fire_delta_;
-  UpdateScratch update_scratch_;  // load()'s §5.2 drains, capacity reused
+  UpdateScratch update_scratch_;  // §5.2 update seeds, capacity reused
   uint32_t agent_ = 0;  // tag in the shared matcher (attach mode)
 };
 

@@ -17,12 +17,15 @@ void TraceExecutor::emit(Activation&& a) {
   queue_.push_back(QueuedTask{a, current_parent_});
 }
 
-CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds) {
+CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds,
+                                            const UpdateFilter* filter) {
   trace_ = CycleTrace{};
   current_parent_ = UINT32_MAX;
+  update = filter;
   // Quiescent drain boundary: alpha state compiled since the last drain
   // (chunk additions) must exist before any task touches it.
   state->ensure_alpha(net_.alpha_mem_count());
+  state->arena.begin_drain(1);
   if (profiler_ != nullptr) {
     profiler_->ensure_nodes(net_.node_count());
     profiler_->ensure_agents(1 + agent);
@@ -71,6 +74,8 @@ CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds) {
     // building (and so allocating) the harvest vector.
     state->tables.reset_cycle_accesses();
   }
+  state->arena.reclaim_at_quiescence();
+  update = nullptr;
   return std::move(trace_);
 }
 

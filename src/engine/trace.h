@@ -51,11 +51,16 @@ class TraceExecutor final : public ExecContext {
 
   /// Drains `seeds` and everything they spawn; returns the recorded trace
   /// (empty task list when recording is off — task_count is still correct
-  /// via executed()). Seeds are consumed but the vector's capacity stays
-  /// with the caller. With recording off, a whole drain is heap-free once
-  /// the ring and scratch buffers have reached their high-water capacity —
-  /// Engine holds one TraceExecutor across all cycles for exactly this.
-  CycleTrace run_to_quiescence(std::vector<Activation>& seeds);
+  /// via executed()). A non-null `filter` applies the §5.2 task filter for
+  /// the drain (a run_update_phases phase). Each drain is one token-arena
+  /// epoch (begin_drain/reclaim_at_quiescence), like
+  /// ParallelMatcher::run_cycle. Seeds are consumed but the vector's
+  /// capacity stays with the caller. With recording off, a whole drain is
+  /// heap-free once the ring and scratch buffers have reached their
+  /// high-water capacity — Engine holds one TraceExecutor across all cycles
+  /// and run-time additions for exactly this.
+  CycleTrace run_to_quiescence(std::vector<Activation>& seeds,
+                               const UpdateFilter* filter = nullptr);
 
   [[nodiscard]] uint64_t executed() const { return executed_; }
 

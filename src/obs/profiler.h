@@ -5,7 +5,7 @@
 //
 // Allocation discipline (the §10 guarantee must survive with profiling on):
 //   * ensure_workers()/ensure_nodes()/ensure_agents() are quiescent-only —
-//     ParallelMatcher calls them at the drain boundary of run_impl (next to
+//     ParallelMatcher calls them at the drain boundary of run_cycle (next to
 //     MatchState::ensure_alpha) and from prewarm(); the serial TraceExecutor
 //     calls them at the top of its drain. Once the network and agent set
 //     stop growing these are three integer compares per cycle.

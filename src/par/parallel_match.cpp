@@ -25,19 +25,13 @@ inline uint64_t backoff_now_ns() {
 }
 
 /// ExecContext that buffers emits locally. The §5.2 filter is applied at
-/// emit time, like the serial DrainCtx, so dropped tasks are never counted
-/// or published. The owner publishes the whole batch once per node
-/// execution (counter bump + pushes + a single unpark), instead of touching
-/// shared state per activation.
+/// emit time, so dropped tasks are never counted or published. The owner
+/// publishes the whole batch once per node execution (counter bump + pushes
+/// + a single unpark), instead of touching shared state per activation.
 class BatchCtx final : public ExecContext {
  public:
-  BatchCtx(Network& net, const ParallelMatcher::UpdateFilter* filter)
-      : net_(net) {
-    if (filter != nullptr) {
-      update_mode = true;
-      min_node_id = filter->min_node_id;
-      suppress_alpha_left = filter->suppress_alpha_left;
-    }
+  BatchCtx(Network& net, const UpdateFilter* filter) : net_(net) {
+    update = filter;
   }
 
   void emit(Activation&& a) override {
@@ -175,7 +169,7 @@ void ParallelMatcher::prewarm() {
   // pool-slab growth to the first steady-state cycle it joins. All the
   // touches below are owner-only operations, legal here because no worker
   // thread has been dispatched yet (same contract as the seed distribution
-  // in run_impl).
+  // in run_cycle).
   constexpr size_t kScratch = 64;
   for (size_t w = 0; w < n_workers_; ++w) {
     WorkerSlot& s = *slots_[w];
@@ -192,7 +186,7 @@ void ParallelMatcher::prewarm() {
   }
   if (profiler_ != nullptr) {
     // Shards sized before any worker runs, same contract as the rings. Node
-    // and agent capacity grow again at each drain boundary (run_impl) as the
+    // and agent capacity grow again at each drain boundary (run_cycle) as the
     // network and agent table do.
     profiler_->ensure_workers(n_workers_);
     profiler_->ensure_nodes(net_.node_count());
@@ -219,29 +213,12 @@ void ParallelMatcher::reset_slots() {
     while (Activation* a = s->deque.pop()) apool_.release(0, a);
     s->created.store(0, std::memory_order_relaxed);
     s->executed.store(0, std::memory_order_relaxed);
-    s->done = 0;
-    s->steals = 0;
-    s->failed_steals = 0;
-    s->failed_sweeps = 0;
-    s->sweep_backoff_ns = 0;
-    s->parks = 0;
-    s->chain_inline = 0;
-    s->chain_splits = 0;
-    for (uint64_t& b : s->sweep_hist) b = 0;
+    s->stats = {};
   }
 }
 
-ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds) {
-  return run_impl(seeds, nullptr);
-}
-
-ParallelStats ParallelMatcher::run_update(std::vector<Activation>& seeds,
-                                          const UpdateFilter& filter) {
-  return run_impl(seeds, &filter);
-}
-
-ParallelStats ParallelMatcher::run_impl(std::vector<Activation>& seeds,
-                                        const UpdateFilter* filter) {
+ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
+                                         const UpdateFilter* filter) {
   // Epoch lifecycle, pinned to the drain: every worker of this cycle enters
   // the new epoch before dispatch; the sweep runs after the pool join (the
   // ParkingLot exit cascade has completed and all workers are parked), when
@@ -300,19 +277,7 @@ ParallelStats ParallelMatcher::run_impl(std::vector<Activation>& seeds,
   st.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (const auto& s : slots_) {
-    st.tasks += s->done;
-    st.steals += s->steals;
-    st.failed_steals += s->failed_steals;
-    st.failed_sweeps += s->failed_sweeps;
-    st.sweep_backoff_ns += s->sweep_backoff_ns;
-    st.parks += s->parks;
-    st.chain_inline += s->chain_inline;
-    st.chain_splits += s->chain_splits;
-    for (size_t i = 0; i < ParallelStats::kSweepHistBuckets; ++i) {
-      st.sweep_hist[i] += s->sweep_hist[i];
-    }
-  }
+  for (const auto& s : slots_) st.accumulate(s->stats);
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
   if (!states_.empty()) st.arena = states_[0]->arena.stats();
   st.pool_slabs = apool_.slab_allocs();
@@ -359,7 +324,7 @@ Activation* ParallelMatcher::take_task(size_t worker) {
   for (size_t i = 0; i < peers; ++i) {
     const size_t victim = (worker + 1 + ((start + i) % peers)) % n_workers_;
     if (Activation* a = slots_[victim]->deque.steal()) {
-      ++me.steals;
+      ++me.stats.steals;
       if (tracer_ != nullptr) {
         obs::record_instant(*tracer_, tracer_->ring(1 + worker),
                             obs::EventKind::StealOk,
@@ -367,12 +332,12 @@ Activation* ParallelMatcher::take_task(size_t worker) {
       }
       return a;
     }
-    ++me.failed_steals;
+    ++me.stats.failed_steals;
   }
   // One event per *failed sweep*, not per failed probe: the sweep is the
   // unit an idle worker pays for, and per-probe instants would flood the
   // ring during the pre-park spin.
-  ++me.failed_sweeps;
+  ++me.stats.failed_sweeps;
   if (tracer_ != nullptr) {
     obs::record_instant(*tracer_, tracer_->ring(1 + worker),
                         obs::EventKind::StealFail, 0,
@@ -414,7 +379,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
         const uint64_t b0 = backoff_now_ns();
         sweep_backoff(round, tuning_.backoff_base_spins,
                       tuning_.backoff_max_spins);
-        me.sweep_backoff_ns += backoff_now_ns() - b0;
+        me.stats.sweep_backoff_ns += backoff_now_ns() - b0;
         const uint64_t moved = lot_.ticket();
         if (moved == ticket) continue;  // nothing published: provably empty
         ticket = moved;
@@ -425,8 +390,8 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
         // Quiescence never bumps the epoch (only the exiting worker's
         // unpark_all does), so re-check before sleeping on the ticket.
         if (abort.load(std::memory_order_acquire) || quiescent()) break;
-        ++me.parks;
-        ++me.sweep_hist[sweep_bucket(idle)];  // the run ends at the park
+        ++me.stats.parks;
+        ++me.stats.sweep_hist[sweep_bucket(idle)];  // the run ends at the park
         if (ring != nullptr) {
           // The park interval is the span the idle-time accounting sums.
           const uint64_t p0 = tracer_->now_ns();
@@ -444,7 +409,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
       }
     }
     if (idle != 0) {
-      ++me.sweep_hist[sweep_bucket(idle)];
+      ++me.stats.sweep_hist[sweep_bucket(idle)];
       idle = 0;
     }
     // Execute the task and, below the split depth, its dependent chain
@@ -505,16 +470,16 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
         obs::record_task(*tracer_, *ring, t0, *cur, ctx.stats);
       }
       if (!is_inline) apool_.release(worker, a);
-      ++me.done;
+      ++me.stats.tasks;
       bool have_cont = false;
       if (!ctx.batch.empty()) {
         if (split_depth == 0 || depth < split_depth) {
           cont = std::move(ctx.batch.back());
           ctx.batch.pop_back();
           have_cont = true;
-          ++me.chain_inline;
+          ++me.stats.chain_inline;
         } else {
-          ++me.chain_splits;  // cap reached: continuation goes to the deque
+          ++me.stats.chain_splits;  // cap reached: continuation to the deque
         }
       }
       if (!ctx.batch.empty()) {
@@ -545,7 +510,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
     }
     me.executed.fetch_add(1, std::memory_order_seq_cst);
   }
-  if (idle != 0) ++me.sweep_hist[sweep_bucket(idle)];  // run ended at drain
+  if (idle != 0) ++me.stats.sweep_hist[sweep_bucket(idle)];  // run ended at drain
   // Cascade the wake so every parked peer re-checks quiescence and exits.
   lot_.unpark_all();
 }

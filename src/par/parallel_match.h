@@ -184,7 +184,7 @@ class ParallelMatcher {
   /// splitting.
   /// `profiler`, when non-null, attributes every executed task to its
   /// (node, agent) cell in the worker's shard (obs/profiler.h): prewarm()
-  /// and the run_impl drain boundary grow the shards quiescently, the
+  /// and the run_cycle drain boundary grow the shards quiescently, the
   /// scheduler loops call sample()/record() around each execute. The
   /// profiler must outlive the matcher; it may be shared with the serial
   /// executor (worker indices line up: shard 0 is the engine thread only
@@ -215,16 +215,6 @@ class ParallelMatcher {
     return *states_[agent];
   }
 
-  /// The §5.2 task filter for run-time production addition: activations of
-  /// stateful nodes older than `min_node_id` are dropped at emit time, and
-  /// (during phase A) alpha memories do not emit to their Left successors.
-  /// Mirrors ExecContext's update fields; see rete/update.h for the phase
-  /// contract.
-  struct UpdateFilter {
-    uint32_t min_node_id = 0;
-    bool suppress_alpha_left = false;
-  };
-
   /// Drains `seeds` and everything they spawn across all workers; returns
   /// when the match is quiescent. Seeds must be homogeneous — all additions
   /// or all deletions, not both: a delete token racing a sibling addition
@@ -238,14 +228,13 @@ class ParallelMatcher {
   /// cycles into one drain, amortizing the pool dispatch across sessions.
   /// `seeds` is caller-owned scratch: its elements are consumed and its
   /// capacity is kept, so a persistent caller (Engine) pays no per-cycle
-  /// seed-vector allocation.
-  ParallelStats run_cycle(std::vector<Activation>& seeds);
-
-  /// Same, but with the update filter applied — the parallel form of
-  /// run_update_serial's phases (what Figure 6-9 measures: the new
-  /// production's state update enjoys the full parallelism of the match).
-  ParallelStats run_update(std::vector<Activation>& seeds,
-                           const UpdateFilter& filter);
+  /// seed-vector allocation. A non-null `filter` applies the §5.2 task
+  /// filter to seeds and emits alike: the drain is then one phase of
+  /// run_update_phases (rete/update.h), which is what Figure 6-9 measures —
+  /// the new production's state update enjoys the full parallelism of the
+  /// match.
+  ParallelStats run_cycle(std::vector<Activation>& seeds,
+                          const UpdateFilter* filter = nullptr);
 
   [[nodiscard]] size_t workers() const { return n_workers_; }
   [[nodiscard]] const StealTuning& tuning() const { return tuning_; }
@@ -265,16 +254,9 @@ class ParallelMatcher {
     // Termination counters: written by the owner, swept by idle workers.
     std::atomic<uint64_t> created{0};
     std::atomic<uint64_t> executed{0};
-    // Owner-private statistics, aggregated at quiescence.
-    uint64_t done = 0;
-    uint64_t steals = 0;
-    uint64_t failed_steals = 0;
-    uint64_t failed_sweeps = 0;
-    uint64_t sweep_backoff_ns = 0;
-    uint64_t parks = 0;
-    uint64_t chain_inline = 0;
-    uint64_t chain_splits = 0;
-    uint64_t sweep_hist[ParallelStats::kSweepHistBuckets] = {};
+    // Owner-private statistics, summed with ParallelStats::accumulate at
+    // quiescence (the traffic counters; the gauges stay zero here).
+    ParallelStats stats;
     Rng rng;
     // Persistent per-worker scratch, leased into the worker's ExecContext
     // for the duration of a cycle (see Lease in parallel_match.cpp): emit
@@ -284,9 +266,6 @@ class ParallelMatcher {
     std::vector<Token> scratch_children;
     std::vector<std::pair<Token, bool>> scratch_emissions;
   };
-
-  ParallelStats run_impl(std::vector<Activation>& seeds,
-                         const UpdateFilter* filter);
 
   void steal_loop(size_t worker, const UpdateFilter* filter,
                   std::atomic<bool>& abort);

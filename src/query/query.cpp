@@ -12,12 +12,12 @@ namespace {
 /// The transient production's text: the cue as the LHS, `(halt)` as the RHS.
 /// (halt) is deliberate — it is the one action that stores nothing in the
 /// shared RhsArena, so query churn never grows the arena the ASTs point
-/// into. The name carries the agent id and a sequence number: query
-/// productions from different sessions over one shared network must not
-/// collide in diagnostics.
-std::string query_text(uint32_t agent, uint64_t seq, std::string_view cue) {
-  std::string s = "(p query-a" + std::to_string(agent) + "-" +
-                  std::to_string(seq) + " ";
+/// into. `name` comes from the network's gensym: production names must be
+/// unique per network, including between concurrent sessions on one engine.
+std::string query_text(std::string_view name, std::string_view cue) {
+  std::string s = "(p ";
+  s.append(name);
+  s += ' ';
   s.append(cue);
   s += "\n --> (halt))";
   return s;
@@ -43,8 +43,10 @@ Engine::RuntimeAddResult QuerySession::begin(std::string_view cue_ces) {
   if (engine_.has_pending_changes()) engine_.match();
 
   Parser parser(engine_.syms(), engine_.schemas(), engine_.network().ast_arena());
+  const Symbol name = engine_.syms().gensym(
+      "query-a" + std::to_string(engine_.agent_id()) + "-");
   Production ast =
-      parser.parse_production(query_text(engine_.agent_id(), seq_++, cue_ces));
+      parser.parse_production(query_text(engine_.syms().name(name), cue_ces));
   for (const Condition& ce : ast.conditions) {
     if (ce.negated || ce.is_ncc()) {
       throw std::invalid_argument(

@@ -109,7 +109,6 @@ class QuerySession {
  private:
   Engine& engine_;
   const Production* prod_ = nullptr;  // the active transient production
-  uint64_t seq_ = 0;                  // uniquifies query production names
 };
 
 }  // namespace psme

@@ -49,8 +49,8 @@ class MatchState {
   MatchState& operator=(const MatchState&) = delete;
 
   PairedHashTables tables;
-  /// mutable use: the quiescent node_outputs() replay builds transient
-  /// tokens through a const MatchState.
+  /// mutable use: the quiescent node_outputs_into() replay (§5.2 phase C)
+  /// builds transient tokens through a const MatchState.
   mutable TokenArena arena;
   AlphaWmePool alpha_pool;
   MatchSink* sink = nullptr;

@@ -31,7 +31,10 @@ void Network::inject(const Wme* w, bool add, ExecContext& ctx) {
 void Network::emit_succs(uint32_t jt_slot, const Token& token, bool add,
                          ExecContext& ctx, bool from_alpha) {
   for (const SuccessorRef& s : jt_.succs(jt_slot)) {
-    if (from_alpha && ctx.suppress_alpha_left && s.side == Side::Left) continue;
+    if (from_alpha && s.side == Side::Left && ctx.update != nullptr &&
+        ctx.update->suppress_alpha_left) {
+      continue;
+    }
     ++ctx.stats.emits;
     Activation a{s.node, s.side, add, token};
     a.agent = ctx.agent;  // children stay inside the emitting agent's state
@@ -518,13 +521,6 @@ void Network::exec_prod(const ProdNode& n, const Activation& a,
   } else {
     sink->on_retract(n, a.token);
   }
-}
-
-std::vector<Token> Network::node_outputs(uint32_t node_id,
-                                         const MatchState& ms) const {
-  std::vector<Token> out;
-  node_outputs_into(node_id, ms, out);
-  return out;
 }
 
 void Network::node_outputs_into(uint32_t node_id, const MatchState& ms,

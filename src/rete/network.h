@@ -57,6 +57,16 @@ struct TaskStats {
   void reset() { *this = TaskStats{}; }
 };
 
+/// The §5.2 task filter for a run-time production addition: activations of
+/// stateful nodes older than `min_node_id` (the new production's first node)
+/// are ignored, and with `suppress_alpha_left` alpha memories do not emit to
+/// their Left-side successors (left seeding is the replay phase's job). See
+/// rete/update.h for the phase contract.
+struct UpdateFilter {
+  uint32_t min_node_id = 0;
+  bool suppress_alpha_left = false;
+};
+
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
@@ -65,8 +75,7 @@ class MatchSink {
 };
 
 /// Execution context handed to execute(). Concrete executors implement emit()
-/// to enqueue child activations. The update-mode fields implement the §5.2
-/// task filter.
+/// to enqueue child activations.
 class ExecContext {
  public:
   virtual ~ExecContext() = default;
@@ -87,13 +96,8 @@ class ExecContext {
   /// executors keep the default 0.
   size_t worker = 0;
 
-  // §5.2 run-time state update: when update_mode is set, activations of
-  // stateful nodes with id < min_node_id are ignored, and alpha memories do
-  // not emit to their Left-side successors (left seeding happens in the
-  // explicit replay phase).
-  bool update_mode = false;
-  uint32_t min_node_id = 0;
-  bool suppress_alpha_left = false;
+  /// The §5.2 filter of the drain in flight; null for a normal match drain.
+  const UpdateFilter* update = nullptr;
 
   // Reusable per-context scratch for execute(): child tokens built under a
   // line lock, emitted after it is released. Living here (capacity retained
@@ -205,23 +209,18 @@ class Network {
   /// The §5.2 task filter, applied by executors (or by emit paths).
   [[nodiscard]] bool should_execute(const Activation& a,
                                     const ExecContext& ctx) const {
-    if (!ctx.update_mode) return true;
+    if (ctx.update == nullptr) return true;
     const Node* n = nodes_[a.node].get();
-    return is_stateless(n->type) || n->id >= ctx.min_node_id;
+    return is_stateless(n->type) || n->id >= ctx.update->min_node_id;
   }
 
-  /// All output tokens a node would pass downstream, regenerated from the
-  /// given agent's stored state. Only meaningful between cycles; used by the
-  /// §5.2 replay ("the last shared node must be specially executed in order
-  /// to pass down all of the PIs that it has stored as state").
-  /// Quiescent-only: reads lock-guarded memories without their locks.
-  [[nodiscard]] std::vector<Token> node_outputs(uint32_t node_id,
-                                                const MatchState& ms) const
-      PSME_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Allocation-conscious form: appends into a caller-owned buffer whose
-  /// capacity survives across replays (the §5.2 phase-C scratch; see
-  /// UpdateScratch in rete/update.h). `out` is not cleared.
+  /// Appends all output tokens a node would pass downstream, regenerated
+  /// from the given agent's stored state, to `out` (not cleared; the §5.2
+  /// phase-C scratch, see UpdateScratch in rete/update.h). Only meaningful
+  /// between cycles; used by the §5.2 replay ("the last shared node must be
+  /// specially executed in order to pass down all of the PIs that it has
+  /// stored as state"). Quiescent-only: reads lock-guarded memories without
+  /// their locks.
   void node_outputs_into(uint32_t node_id, const MatchState& ms,
                          std::vector<Token>& out) const
       PSME_NO_THREAD_SAFETY_ANALYSIS;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/agent_group.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "par/parallel_match.h"
@@ -204,13 +205,7 @@ void runtime_add_through(Engine& e, ParallelMatcher& matcher, RhsArena& arena,
   ASSERT_EQ(parsed.size(), 1u);
   owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
   const CompiledProduction cp = e.builder().add_production(*owned.back());
-  const auto wm_snapshot = e.wm().live();
-  auto seeds = update_alpha_seeds(e.net(), cp, wm_snapshot);
-  matcher.run_update(seeds, {cp.first_new_id, /*suppress_alpha_left=*/true});
-  seeds = update_right_seeds(e.net(), e.state(), cp);
-  matcher.run_update(seeds, {cp.first_new_id, false});
-  seeds = update_left_seeds(e.net(), e.state(), cp);
-  matcher.run_update(seeds, {cp.first_new_id, false});
+  test::update_state(e, cp, &matcher);
 }
 
 TEST(SchedulerEquivalence, StealTuningsEqualSerialThroughRuntimeAdd) {
@@ -269,8 +264,7 @@ TEST(SchedulerEquivalence, StealTuningsEqualSerialThroughRuntimeAdd) {
     owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
     const CompiledProduction cp =
         serial.builder().add_production(*owned.back());
-    run_update_serial(serial.net(), serial.state(), cp,
-                      serial.wm().live());
+    test::update_state(serial, cp);
   }
   runtime_add_through(steal, m_steal, arena, owned, late);
   runtime_add_through(split, m_split, arena, owned, late);
@@ -337,6 +331,77 @@ TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
   add_workload_wmes(par, 6);
   par.match();
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
+}
+
+/// The oracle comparison after a load onto live memories: same conflict
+/// set and the same number of beta-table entries as the serial engine.
+void expect_same_state(Engine& serial, Engine& par) {
+  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
+  EXPECT_EQ(serial.state().tables.total_left_entries(),
+            par.state().tables.total_left_entries());
+  EXPECT_EQ(serial.state().tables.total_right_entries(),
+            par.state().tables.total_right_entries());
+}
+
+TEST(EngineIntegration, LoadOntoLiveWmDrainsThroughMatcher) {
+  // Engine::load onto a live WM runs the §5.2 update per attached agent
+  // through that agent's own executor: the private matcher of a 4-worker
+  // engine, the shared matcher of an AgentGroup. Each of the three phases
+  // is one matcher cycle, and every agent must end exactly where a serial
+  // engine holding the same WM ends.
+  const std::string late =
+      "(p late-j3 (b ^v <x>) (c ^v <x>) -(blocker ^v <x>) --> (halt))";
+  EngineOptions popt;
+  popt.match_workers = 4;
+  popt.record_traces = false;
+
+  Engine serial;
+  Engine par(popt);
+  for (Engine* e : {&serial, &par}) {
+    e->load(workload_productions());
+    add_workload_wmes(*e, 20);
+    e->match();
+  }
+  ASSERT_NE(par.parallel_matcher(), nullptr);
+  const uint64_t cycles = par.parallel_matcher()->lifetime_cycles();
+  serial.load(late);
+  par.load(late);
+  EXPECT_EQ(par.parallel_matcher()->lifetime_cycles(), cycles + 3);
+  EXPECT_GT(test::instantiation_count(par, "late-j3"), 0);
+  expect_same_state(serial, par);
+
+  // Two group sessions with different WMs over one network and matcher.
+  AgentGroupOptions gopt;
+  gopt.workers = 4;
+  gopt.agent.record_traces = false;
+  AgentGroup group(gopt);
+  Engine& a0 = group.add_agent();
+  Engine& a1 = group.add_agent();
+  Engine s0, s1;
+  group.load(workload_productions());
+  s0.load(workload_productions());
+  s1.load(workload_productions());
+  add_workload_wmes(a0, 20);
+  add_workload_wmes(s0, 20);
+  add_workload_wmes(a1, 11);
+  add_workload_wmes(s1, 11);
+  group.step_all();
+  s0.match();
+  s1.match();
+  const uint64_t group_cycles = group.matcher().lifetime_cycles();
+  group.load(late);
+  s0.load(late);
+  s1.load(late);
+  EXPECT_EQ(group.matcher().lifetime_cycles(), group_cycles + 6);
+  expect_same_state(s0, a0);
+  expect_same_state(s1, a1);
+
+  // The extended network keeps matching like the serial oracle.
+  add_workload_wmes(a0, 9);
+  add_workload_wmes(s0, 9);
+  group.step_all();
+  s0.match();
+  expect_same_state(s0, a0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "analysis/verify.h"
 #include "engine/agent_group.h"
 #include "engine/engine.h"
+#include "lang/parser.h"
 #include "query/query.h"
 #include "test_util.h"
 
@@ -223,6 +224,48 @@ TEST(Removal, MisuseAtRemovalEntryPointsIsRejected) {
   EXPECT_EQ(e.productions().size(), 1u);
   const auto rep = e.verify_network();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+TEST(Naming, DuplicateProductionNamesAreRejected) {
+  // One name, one production. Loading a loaded name, repeating a name
+  // within one source, and a run-time add under a loaded name each throw
+  // before anything is adopted, so the productions and the conflict set are
+  // unchanged (two copies would both fire, and network_lint joins its
+  // profile rows by name). A removed production's name is free again.
+  Engine e;
+  e.load("(p dup (a ^v <x>) --> (halt))");
+  e.add_wme_text("(a ^v 1)");
+  e.match();
+  const std::vector<const Production*> prods_before = e.productions();
+  const auto cs_before = test::cs_fingerprint(e);
+  ASSERT_EQ(e.cs().size(), 1u);
+
+  EXPECT_THROW(e.load("(p dup (a ^v <x>) --> (halt))"),
+               std::invalid_argument);
+  EXPECT_THROW(e.load("(p fresh (a ^v <x>) --> (halt))"
+                      "(p fresh (a ^v 1) --> (halt))"),
+               std::invalid_argument);
+  Parser parser(e.syms(), e.schemas(), e.network().ast_arena());
+  EXPECT_THROW(e.add_production_runtime(
+                   parser.parse_production("(p dup (a ^v 1) --> (halt))")),
+               std::invalid_argument);
+  e.match();
+  EXPECT_EQ(e.productions(), prods_before);
+  EXPECT_EQ(test::cs_fingerprint(e), cs_before);
+
+  e.remove_production_runtime(prods_before[0]);
+  e.load("(p dup (a ^v <x>) --> (halt))");
+  EXPECT_EQ(test::cs_fingerprint(e), cs_before);
+
+  // Two live query sessions on one engine name their cues apart.
+  QuerySession q1(e), q2(e);
+  q1.begin("(a ^v <x>)");
+  q2.begin("(a ^v <x>)");
+  EXPECT_EQ(e.productions().size(), 3u);
+  EXPECT_EQ(q1.score(), 1u);
+  EXPECT_EQ(q2.score(), 1u);
+  q1.end();
+  q2.end();
 }
 
 TEST(Removal, RemoveLastProductionEmptiesNetwork) {

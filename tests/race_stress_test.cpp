@@ -218,17 +218,8 @@ TEST_P(RaceStressPolicy, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
     owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
     const CompiledProduction cp =
         live.builder().add_production(*owned.back());
-    const auto wm_snapshot = live.wm().live();
-
-    // Phase A: alpha chains + right memories fed by new alpha memories.
-    auto seeds = update_alpha_seeds(live.net(), cp, wm_snapshot);
-    matcher.run_update(seeds, {cp.first_new_id, /*suppress_alpha_left=*/true});
-    // Phase B: right memories fed by shared (old) alpha memories.
-    seeds = update_right_seeds(live.net(), live.state(), cp);
-    matcher.run_update(seeds, {cp.first_new_id, false});
-    // Phase C: last-shared-node replay, only after A and B drained.
-    seeds = update_left_seeds(live.net(), live.state(), cp);
-    matcher.run_update(seeds, {cp.first_new_id, false});
+    // All three §5.2 phases, each a full-width threaded drain.
+    test::update_state(live, cp, &matcher);
   }
 
   EXPECT_EQ(cs_fingerprint(ref), cs_fingerprint(live));

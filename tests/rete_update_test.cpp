@@ -83,11 +83,12 @@ TEST(UpdateSeeds, RightSeedsOnlyForOldAlphaMemories) {
   static std::vector<std::unique_ptr<Production>> keep;
   keep.push_back(std::make_unique<Production>(std::move(p)));
   CompiledProduction cp = builder.add_production(*keep.back());
-  const auto rights = update_right_seeds(e.net(), e.state(), cp);
+  std::vector<Activation> rights;
+  update_right_seeds(e.net(), e.state(), cp, rights);
   // The new join's right input is amem(c) — brand new, so phase B has
   // nothing; amem(a) feeds the join's LEFT side, not its right.
   EXPECT_TRUE(rights.empty());
-  run_update_serial(e.net(), e.state(), cp, e.wm().live());
+  test::update_state(e, cp);
 }
 
 TEST(UpdateSeeds, LeftSeedsReplaySharePointOutputs) {
@@ -105,7 +106,7 @@ TEST(UpdateSeeds, LeftSeedsReplaySharePointOutputs) {
       e, "(p p2 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))")));
   CompiledProduction cp = builder.add_production(*keep.back());
   // Share point: the old (a)(b) join; its outputs are the two [a b] tokens.
-  run_update_serial(e.net(), e.state(), cp, e.wm().live());
+  test::update_state(e, cp);
   EXPECT_EQ(instantiation_count(e, "p2"), 1);  // only v=1 has a c
 }
 
@@ -210,11 +211,14 @@ TEST(Update, UpdateTaskCountScalesWithSharing) {
   EXPECT_EQ(test::instantiation_count(fresh_engine, "p2"), 8);
 }
 
-TEST(Update, ScratchReplayIsAllocationFlat) {
-  // A chunking system runs the §5.2 update once per chunk, forever. With a
-  // persistent UpdateScratch the replay must stop allocating once its
-  // buffers reach high-water capacity — even for spill-length tokens (six
-  // CEs, so every full token exceeds the inline cap and lands in the arena).
+/// A chunking system runs the §5.2 update once per chunk, forever. Through
+/// run_update_phases with a persistent UpdateScratch and a persistent
+/// executor — what Engine::apply_runtime_update holds — the update must stop
+/// allocating once its buffers reach high-water capacity, even for
+/// spill-length tokens (six CEs, so every full token exceeds the inline cap
+/// and lands in the arena). `workers` > 1 drains every phase through a
+/// ParallelMatcher of that width instead of the serial executor.
+void expect_update_allocation_flat(size_t workers) {
   Engine e;
   e.load("(p base (a ^v <x>) (b ^v <x>) --> (halt))");
   for (const char* cls : {"a", "b", "c", "d", "e", "f"}) {
@@ -229,9 +233,16 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
   const auto wm = e.wm().live();
   Builder& builder = e.builder();
   static std::vector<std::unique_ptr<Production>> keep;
+  TraceExecutor serial(e.net(), e.state(), /*record_tasks=*/false);
+  std::unique_ptr<ParallelMatcher> matcher;
+  if (workers > 1) {
+    matcher = std::make_unique<ParallelMatcher>(e.net(), e.state(), workers);
+  }
+  auto drain = test::update_drain(serial, matcher.get());
   UpdateScratch scratch;
+  const std::string tag = "w" + std::to_string(workers) + "-";
   for (int round = 0; round < 8; ++round) {
-    const std::string name = "spill" + std::to_string(round);
+    const std::string name = "spill" + tag + std::to_string(round);
     keep.push_back(std::make_unique<Production>(parse_one(
         e, "(p " + name +
                " (a ^v <x>) (b ^v <x>) (c ^v <x>) (d ^v <x>) (e ^v <x>)"
@@ -240,12 +251,12 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
     // update itself is measured.
     CompiledProduction cp = builder.add_production(*keep.back());
     const uint64_t before = heap_allocs();
-    run_update_serial(e.net(), e.state(), cp, wm, scratch);
+    run_update_phases(e.net(), e.state(), cp, wm, 0, scratch, drain);
     const uint64_t used = heap_allocs() - before;
     EXPECT_EQ(instantiation_count(e, name), 3);
     if (round >= 2) {
       // Round 0 builds the chain and fills the scratch; round 1 may still
-      // grow capacity. From then on the replay is allocation-free.
+      // grow capacity. From then on the update is allocation-free.
       EXPECT_EQ(used, 0u) << "update " << round << " touched the heap";
     }
   }
@@ -253,7 +264,15 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
   // The task filter dropped every activation of pre-existing stateful
   // nodes: old productions saw no duplicate matches from the re-seeded wmes.
   EXPECT_EQ(instantiation_count(e, "base"), base_insts);
-  EXPECT_EQ(instantiation_count(e, "spill0"), 3);
+  EXPECT_EQ(instantiation_count(e, "spill" + tag + "0"), 3);
+}
+
+TEST(Update, ScratchReplayIsAllocationFlat) {
+  expect_update_allocation_flat(1);
+}
+
+TEST(Update, ThreadedReplayIsAllocationFlat) {
+  expect_update_allocation_flat(4);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "engine/engine.h"
 #include "lang/ast.h"
+#include "rete/update.h"
 
 namespace psme::test {
 
@@ -51,6 +52,29 @@ inline std::multiset<std::string> cs_fingerprint(Engine& e) {
     out.insert(s);
   }
   return out;
+}
+
+/// A run_update_phases drain: each phase drains through `m` when non-null,
+/// else serially through `serial`. Returns the phase's task count.
+inline auto update_drain(TraceExecutor& serial, ParallelMatcher* m) {
+  return [&serial, m](std::vector<Activation>& seeds, const UpdateFilter& f,
+                      UpdatePhase) -> uint64_t {
+    if (m != nullptr) return m->run_cycle(seeds, &f).tasks;
+    const uint64_t before = serial.executed();
+    serial.run_to_quiescence(seeds, &f);
+    return serial.executed() - before;
+  };
+}
+
+/// Runs the §5.2 update of `cp` (compiled straight through e.builder(), so
+/// no engine path has updated any state yet) on `e`'s memories from its
+/// live WM, through `m` or a fresh serial executor. Returns the task count.
+inline uint64_t update_state(Engine& e, const CompiledProduction& cp,
+                             ParallelMatcher* m = nullptr) {
+  TraceExecutor serial(e.net(), e.state(), /*record_tasks=*/false);
+  UpdateScratch scratch;
+  return run_update_phases(e.net(), e.state(), cp, e.wm().live(),
+                           e.agent_id(), scratch, update_drain(serial, m));
 }
 
 }  // namespace psme::test
