@@ -90,8 +90,8 @@ double percentile(std::vector<double>& v, double p) {
 /// (per-production AND per-agent attribution over the shared shards).
 Record run_config(size_t agents, size_t workers, int rounds, int wave,
                   int profile_shift = -1) {
-  AgentGroupOptions gopts;
-  gopts.workers = workers;
+  EngineOptions gopts;
+  gopts.match_workers = workers;
   if (profile_shift >= 0) {
     gopts.profile = true;
     gopts.profile_sample_shift = static_cast<uint32_t>(profile_shift);
@@ -218,14 +218,15 @@ int main(int argc, char** argv) {
   bool soar_all_solved = true;
   {
     const Task task = make_task("eight-puzzle");
-    auto cnet = std::make_shared<CompiledNetwork>();
-    ParallelMatcher matcher(cnet->net(), workers);
+    EngineOptions gopts;
+    gopts.match_workers = workers;
+    AgentGroup group(gopts);
     std::vector<std::unique_ptr<SoarKernel>> kernels;  // sessions stay attached
     for (int a = 0; a < soar_sessions; ++a) {
       SoarOptions sopts;
       sopts.learning = true;
       sopts.max_decisions = task.max_decisions;
-      kernels.push_back(std::make_unique<SoarKernel>(sopts, cnet, &matcher));
+      kernels.push_back(std::make_unique<SoarKernel>(sopts, group));
       SoarKernel& k = *kernels.back();
       if (a == 0) k.load_productions(task.productions);
       task.init(k);

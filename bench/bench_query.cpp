@@ -88,8 +88,8 @@ double us_since(std::chrono::steady_clock::time_point t0) {
 }
 
 Record run_config(size_t workers, size_t agents, int cycles_per_agent) {
-  AgentGroupOptions gopts;
-  gopts.workers = workers;
+  EngineOptions gopts;
+  gopts.match_workers = workers;
   AgentGroup group(gopts);
   for (size_t a = 0; a < agents; ++a) group.add_agent();
   group.load(resident_productions());
@@ -227,8 +227,8 @@ int main(int argc, char** argv) {
   };
   std::vector<CueCosts> per_ce;
   {
-    AgentGroupOptions gopts;
-    gopts.workers = 8;
+    EngineOptions gopts;
+    gopts.match_workers = 8;
     gopts.profile = true;
     gopts.profile_sample_shift = 0;
     AgentGroup group(gopts);

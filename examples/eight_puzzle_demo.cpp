@@ -24,11 +24,11 @@
 // to the serial one at any worker count.)
 //
 // With --agents N (N > 1) the demo also runs N learning kernels as agent
-// sessions over ONE shared CompiledNetwork: each agent solves the puzzle
-// with chunking on, chunks are compiled copy-on-write into the shared
-// jumptable, and chunk-signature dedup is network-wide — so later agents
-// inherit earlier agents' chunks and solve with fewer impasses and fewer
-// freshly-built chunks.
+// sessions of ONE serial AgentGroup (one shared CompiledNetwork): each agent
+// solves the puzzle with chunking on, chunks are compiled copy-on-write into
+// the shared jumptable, and chunk-signature dedup is network-wide — so later
+// agents inherit earlier agents' chunks and solve with fewer impasses and
+// fewer freshly-built chunks.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,13 +69,13 @@ void run_agents(const Task& task, size_t agents) {
   std::printf("%-7s %10s %9s %13s %13s  %s\n", "agent", "decisions",
               "impasses", "chunks-built", "cow-publishes", "solved");
 
-  auto cnet = std::make_shared<CompiledNetwork>();
+  AgentGroup group;  // serial: one shared network, no matcher
   std::vector<std::unique_ptr<SoarKernel>> kernels;  // sessions stay attached
   for (size_t a = 0; a < agents; ++a) {
     SoarOptions opts;
     opts.learning = true;
     opts.max_decisions = task.max_decisions;
-    kernels.push_back(std::make_unique<SoarKernel>(opts, cnet));
+    kernels.push_back(std::make_unique<SoarKernel>(opts, group));
     SoarKernel& k = *kernels.back();
     // The task productions live in the shared network: only the first
     // session loads them, siblings find them already compiled.
@@ -86,7 +86,8 @@ void run_agents(const Task& task, size_t agents) {
                 static_cast<unsigned long long>(stats.decisions),
                 static_cast<unsigned long long>(stats.impasses),
                 static_cast<unsigned long long>(stats.chunks_built),
-                static_cast<unsigned long long>(cnet->cow_publishes()),
+                static_cast<unsigned long long>(
+                    group.network().cow_publishes()),
                 stats.goal_achieved ? "yes" : "NO");
   }
   std::printf("later agents inherit earlier agents' chunks through the "

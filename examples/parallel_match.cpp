@@ -72,8 +72,8 @@ int run_agents_demo(size_t agents, const StealTuning& tuning) {
   std::printf("\nmulti-agent serving: %zu sessions, one shared network, "
               "8 workers\n",
               agents);
-  AgentGroupOptions gopts;
-  gopts.workers = 8;
+  EngineOptions gopts;
+  gopts.match_workers = 8;
   gopts.steal = tuning;
   AgentGroup group(gopts);
   std::vector<std::unique_ptr<Engine>> oracles;

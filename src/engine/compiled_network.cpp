@@ -75,8 +75,8 @@ const AddRecord& CompiledNetwork::finish(const Production* p,
 }
 
 void CompiledNetwork::debug_verify_after_add(const Production* p) const {
-  // Structure-only pass (no MatchState): every attached agent's state is
-  // additionally checked by Engine's own PSME_NET_VERIFY hook.
+  // Structure-only pass (no MatchState): every session's state is
+  // additionally checked by AgentGroup's own PSME_NET_VERIFY hook.
   const analysis::VerifyReport rep = analysis::verify_network(net_, all_records());
   if (rep.ok()) return;
   std::fprintf(stderr,
@@ -113,7 +113,6 @@ void CompiledNetwork::finish_removal(const RemovePlan& plan,
       std::remove(productions_.begin(), productions_.end(), p),
       productions_.end());
   store_.release(p);
-  ++removals_;
 #if PSME_NET_VERIFY
   debug_verify_after_remove(name);
 #endif
@@ -145,10 +144,6 @@ std::vector<const AddRecord*> CompiledNetwork::all_records() const {
     if (it != records_.end()) recs.push_back(&it->second);
   }
   return recs;
-}
-
-void CompiledNetwork::detach(Engine* e) {
-  agents_.erase(std::remove(agents_.begin(), agents_.end(), e), agents_.end());
 }
 
 }  // namespace psme

@@ -1,10 +1,11 @@
 // The immutable-at-match-time half of the engine split: one CompiledNetwork
 // holds everything that is a function of the production set alone — symbol
 // table, class schemas, the Rete node graph and jumptable, the builder, the
-// adopted ASTs and their compilation records — and N Agent sessions (Engine
-// instances) share it read-only while matching. Everything a wme ever
-// touches (hash-table lines, alpha-memory lists, token arenas, the conflict
-// set) lives in each agent's MatchState instead (rete/match_state.h).
+// adopted ASTs and their compilation records — and the N agent sessions
+// (Engines) of the AgentGroup that owns it share it read-only while
+// matching. Everything a wme ever touches (hash-table lines, alpha-memory
+// lists, token arenas, the conflict set) lives in each agent's MatchState
+// instead (rete/match_state.h).
 //
 // Run-time production addition (the chunking path) is the one mutation the
 // shared half sees after load. It is copy-on-write on the jumptable:
@@ -30,16 +31,10 @@
 
 namespace psme {
 
-class Engine;
-
-struct CompiledNetworkOptions {
-  BuilderOptions builder;
-};
-
 class CompiledNetwork {
  public:
-  explicit CompiledNetwork(CompiledNetworkOptions opts = {})
-      : net_(syms_, schemas_), builder_(net_, opts.builder) {}
+  explicit CompiledNetwork(BuilderOptions builder = {})
+      : net_(syms_, schemas_), builder_(net_, builder) {}
   CompiledNetwork(const CompiledNetwork&) = delete;
   CompiledNetwork& operator=(const CompiledNetwork&) = delete;
 
@@ -53,7 +48,7 @@ class CompiledNetwork {
   /// Parses and compiles a source string (literalize forms + productions).
   /// Build-time path: no COW (no agent is matching yet by contract), no
   /// per-agent state update — callers with live working memories run the
-  /// §5.2 update themselves (Engine::load does, for every attached agent).
+  /// §5.2 update themselves (AgentGroup::load does, for every session).
   /// Throws std::invalid_argument, adopting nothing, when a production name
   /// repeats within `src` or names a production already loaded.
   std::vector<const Production*> load(std::string_view src);
@@ -92,9 +87,6 @@ class CompiledNetwork {
   /// the removal oracle.
   void finish_removal(const RemovePlan& plan, const Production* p);
 
-  /// Productions removed at run time since load (diagnostics).
-  [[nodiscard]] uint64_t removals() const { return removals_; }
-
   [[nodiscard]] const AddRecord& record(const Production* p) const;
   [[nodiscard]] const std::vector<const Production*>& productions() const {
     return productions_;
@@ -124,14 +116,6 @@ class CompiledNetwork {
     return chunk_signatures_.erase(sig) > 0;
   }
 
-  /// Attached agent sessions. Engine registers itself at construction and
-  /// deregisters at destruction; run-time production addition walks this
-  /// list to bring every agent's memories up to date (§5.2) after the COW
-  /// publish. Quiescent-only, like everything else on the compile side.
-  void attach(Engine* e) { agents_.push_back(e); }
-  void detach(Engine* e);
-  [[nodiscard]] const std::vector<Engine*>& agents() const { return agents_; }
-
  private:
   const AddRecord& finish(const Production* p, CompiledProduction&& cp);
   /// Throws std::invalid_argument when `name` is already loaded.
@@ -149,8 +133,6 @@ class CompiledNetwork {
   std::vector<const Production*> productions_;
   std::unordered_map<const Production*, AddRecord> records_;
   std::unordered_set<std::string> chunk_signatures_;  // network-wide dedup
-  std::vector<Engine*> agents_;
-  uint64_t removals_ = 0;
 };
 
 }  // namespace psme

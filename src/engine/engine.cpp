@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "analysis/verify.h"
+#include "engine/agent_group.h"
 
 namespace psme {
 namespace {
@@ -24,129 +25,98 @@ class CollectCtx final : public ExecContext {
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
-    : Engine(std::make_shared<CompiledNetwork>(
-                 CompiledNetworkOptions{opts.builder}),
-             opts, nullptr) {}
+    : Engine(nullptr, std::make_unique<AgentGroup>(std::move(opts))) {}
 
-Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
-               ParallelMatcher* shared_matcher)
-    : opts_(opts),
-      cnet_(std::move(cnet)),
-      state_(opts.hash_lines, opts.arena_chunk_bytes),
-      rhs_(cnet_->syms(), cnet_->schemas()),
-      external_matcher_(shared_matcher),
-      serial_exec_(cnet_->net(), state_, opts.record_traces) {
+Engine::Engine(AgentGroup& group) : Engine(&group, nullptr) {}
+
+Engine::Engine(AgentGroup* group, std::unique_ptr<AgentGroup> own)
+    : own_group_(std::move(own)),
+      group_(group != nullptr ? *group : *own_group_),
+      cnet_(group_.network()),
+      opts_(group_.options()),
+      matcher_(group_.matcher()),
+      tracer_(group_.tracer()),
+      profiler_(group_.profiler()),
+      state_(opts_.hash_lines, opts_.arena_chunk_bytes),
+      rhs_(cnet_.syms(), cnet_.schemas()),
+      serial_exec_(cnet_.net(), state_, opts_.record_traces) {
   state_.sink = &cs_;
   state_.ensure_alpha(net().alpha_mem_count());
-  if (opts_.trace.enabled) {
-    tracer_ = std::make_unique<obs::Tracer>(opts_.trace);
-    trace_sink_ = tracer_.get();
-    serial_exec_.set_tracer(trace_sink_, 0);
+  agent_ = group_.attach(*this);
+  if (tracer_ != nullptr) {
+    // A standalone engine traces on track 0; group sessions after the W
+    // worker tracks, on W+1+id.
+    if (own_group_ == nullptr) {
+      const size_t workers = matcher_ != nullptr ? matcher_->workers() : 0;
+      trace_track_ = static_cast<uint32_t>(1 + workers + agent_);
+      tracer_->ensure_tracks(trace_track_ + 1);
+    }
+    serial_exec_.set_tracer(tracer_, trace_track_);
   }
-  if (opts_.profile && external_matcher_ == nullptr) {
-    // Attach mode leaves profiling to the group's shared profiler
-    // (set_profiler): the shared matcher's workers can't write into a
-    // per-agent profiler's shards without racing the other sessions.
-    profiler_ = std::make_unique<obs::MatchProfiler>(opts_.profile_sample_shift);
-    serial_exec_.set_profiler(profiler_.get());
-  }
-  if (external_matcher_ != nullptr) {
-    agent_ = external_matcher_->register_agent(state_);
-  }
-  cnet_->attach(this);
+  serial_exec_.set_profiler(profiler_);
 }
 
-Engine::~Engine() { cnet_->detach(this); }
-
-void Engine::set_trace_sink(obs::Tracer* t, size_t track) {
-  trace_sink_ = t != nullptr ? t : tracer_.get();
-  trace_track_ = t != nullptr ? static_cast<uint32_t>(track) : 0;
-  serial_exec_.set_tracer(trace_sink_, trace_track_);
-}
+Engine::~Engine() { group_.detach(*this); }
 
 std::vector<const Production*> Engine::load(std::string_view src) {
-  auto out = cnet_->load(src);
-  // §5.2 memory update for every attached agent that already holds wmes
-  // (the common build-time load on empty WMs skips straight through).
-  for (const Production* p : out) {
-    const CompiledProduction& cp = cnet_->record(p).compiled;
-    for (Engine* agent : cnet_->agents()) {
-      if (agent->wm_.size() != 0) agent->apply_runtime_update(cp, nullptr);
-    }
-#if PSME_NET_VERIFY
-    debug_verify_after_add(p);
-#endif
-  }
-  return out;
+  return group_.load(src);
 }
 
 analysis::VerifyReport Engine::verify_network() const {
-  return analysis::verify_network(cnet_->net(), &state_, cnet_->all_records());
-}
-
-void Engine::debug_verify_after_add(const Production* p) const {
-  const analysis::VerifyReport rep = verify_network();
-  if (rep.ok()) return;
-  std::fprintf(stderr,
-               "PSME_NET_VERIFY: invariant violation after adding '%s'\n%s",
-               std::string(cnet_->syms().name(p->name)).c_str(),
-               rep.to_string().c_str());
-  std::abort();
-}
-
-ParallelMatcher& Engine::matcher() {
-  if (external_matcher_ != nullptr) return *external_matcher_;
-  if (!matcher_) {
-    matcher_ = std::make_unique<ParallelMatcher>(
-        net(), state_, opts_.match_workers, tracer_.get(), opts_.steal,
-        profiler_.get());
-  }
-  return *matcher_;
+  return analysis::verify_network(cnet_.net(), &state_, cnet_.all_records());
 }
 
 Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
   RuntimeAddResult res;
-  const Production* p = cnet_->adopt(std::move(ast));
-  obs::Span compile_span(trace_sink_, trace_track_,
-                          obs::EventKind::ChunkCompile);
+  const Production* p = cnet_.adopt(std::move(ast));
+  obs::Span compile_span(tracer_, trace_track_, obs::EventKind::ChunkCompile);
   // Copy-on-write splice + publish; the publish is this call's quiescent
   // safe point (no agent has a cycle in flight — quiescent-only contract).
-  const CompiledProduction& cp = cnet_->compile_cow(p).compiled;
+  const CompiledProduction& cp = cnet_.compile_cow(p).compiled;
   compile_span.set_node(cp.first_new_id);
   compile_span.end();
   res.prod = p;
   res.compile_seconds = cp.compile_seconds;
   res.code_bytes = cp.code_bytes();
+  // §5.2 state update for every session, the learning agent first so the
+  // returned traces are its own. A learning agent therefore never blocks a
+  // peer's *matching* (the publish is the only shared mutation); peers pay
+  // only their own memory fill, at their next safe point — here, since the
+  // whole group is quiescent during a runtime add.
+  res.update_tasks = group_.update_sessions(cp, this, &res);
 #if PSME_NET_VERIFY
-  // compile_cow already verified the structure; re-verify against this
-  // agent's state (stale-entry and lock-rank checks).
-  debug_verify_after_add(p);
+  // compile_cow already verified the structure; re-verify against every
+  // session's state (stale-entry and lock-rank checks).
+  group_.debug_verify("adding", syms().name(p->name));
 #endif
-  // §5.2 state update for every attached agent, the learning agent first so
-  // the returned traces are its own. A learning agent therefore never
-  // blocks a peer's *matching* (the publish is the only shared mutation);
-  // peers pay only their own memory fill, at their next safe point — here,
-  // since the whole group is quiescent during a runtime add.
-  res.update_tasks += apply_runtime_update(cp, &res);
-  for (Engine* agent : cnet_->agents()) {
-    if (agent == this) continue;
-    res.update_tasks += agent->apply_runtime_update(cp, nullptr);
-  }
   return res;
+}
+
+std::vector<const Wme*> Engine::matched_wmes() const {
+  std::vector<const Wme*> seen = wm_.live();
+  if (!has_pending_changes()) return seen;
+  // Pending adds reach the network at the next match(); pending removes
+  // are still in it until then.
+  std::erase_if(seen, [this](const Wme* w) {
+    return std::ranges::find(pending_adds_, w) != pending_adds_.end();
+  });
+  seen.insert(seen.end(), pending_removes_.begin(), pending_removes_.end());
+  std::ranges::sort(seen, {}, &Wme::timetag);
+  return seen;
 }
 
 uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
                                       RuntimeAddResult* res) {
-  const auto wm_snapshot = wm_.live();
+  const std::vector<const Wme*> wm_snapshot = matched_wmes();
   if (parallel()) {
     // The §5.2 state update with full match parallelism (Figure 6-9's
     // regime): every phase is one threaded drain under the task filter.
-    ParallelMatcher& m = matcher();
+    ParallelMatcher& m = *matcher_;
     return run_update_phases(
         net(), state_, cp, wm_snapshot, agent_, update_scratch_,
         [&m](std::vector<Activation>& seeds, const UpdateFilter& filter,
              UpdatePhase) { return m.run_cycle(seeds, &filter).tasks; },
-        trace_sink_, trace_track_);
+        tracer_, trace_track_);
   }
   // The persistent serial executor records the update's task DAG: phases A
   // and B (which may run concurrently) into `ab`, the replay into `c`. Its
@@ -167,7 +137,7 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
         }
         return serial_exec_.executed() - before;
       },
-      trace_sink_, trace_track_);
+      tracer_, trace_track_);
   if (res != nullptr) {
     res->ab = std::move(ab);
     res->c = std::move(c);
@@ -178,21 +148,20 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
 Engine::RuntimeRemoveResult Engine::remove_production_runtime(
     const Production* p) {
   RuntimeRemoveResult res;
-  obs::Span remove_span(trace_sink_, trace_track_,
-                        obs::EventKind::ProdRemove);
+  obs::Span remove_span(tracer_, trace_track_, obs::EventKind::ProdRemove);
   // Plan + unsplice under COW; the publish inside is the safe point. Past
   // it the victim can never fire, but its nodes are still alive — agents
   // drain their state against them before anything is freed. unsplice_cow
   // rejects a production that is not loaded (null, or already removed)
   // before anything dereferences `p`.
-  const RemovePlan plan = cnet_->unsplice_cow(p, &res.refs_unspliced);
+  const RemovePlan plan = cnet_.unsplice_cow(p, &res.refs_unspliced);
 #if PSME_NET_VERIFY
   // The AST dies in finish_removal; keep the name for diagnostics.
-  const std::string name(cnet_->syms().name(p->name));
+  const std::string name(syms().name(p->name));
 #endif
   remove_span.set_node(plan.pnode);
   const auto* pnode = static_cast<const ProdNode*>(net().node(plan.pnode));
-  for (Engine* agent : cnet_->agents()) {
+  for (Engine* agent : group_.sessions_) {
     // Beta memories: erase_left unpins each drained token, which is what
     // lets the next epoch boundary reclaim the dead partial instantiations.
     const auto counts = agent->state_.tables.purge_nodes(plan.dead_mask);
@@ -210,27 +179,13 @@ Engine::RuntimeRemoveResult Engine::remove_production_runtime(
     res.instantiations += agent->cs_.purge_production(pnode);
   }
   res.nodes_removed = plan.dead_nodes.size();
-  cnet_->finish_removal(plan, p);
+  cnet_.finish_removal(plan, p);
   remove_span.end();
 #if PSME_NET_VERIFY
-  debug_verify_after_remove(name);
+  // The drain touched every session's state, so every view must be clean.
+  group_.debug_verify("removing", name);
 #endif
   return res;
-}
-
-void Engine::debug_verify_after_remove(const std::string& name) const {
-  // The drain touched every attached agent's state, so every agent's view
-  // must be clean — not just the remover's (contrast debug_verify_after_add,
-  // where only the compile structure and the caller's state changed).
-  for (Engine* agent : cnet_->agents()) {
-    const analysis::VerifyReport rep = agent->verify_network();
-    if (rep.ok()) continue;
-    std::fprintf(stderr,
-                 "PSME_NET_VERIFY: invariant violation after removing '%s' "
-                 "(agent %u)\n%s",
-                 name.c_str(), agent->agent_id(), rep.to_string().c_str());
-    std::abort();
-  }
 }
 
 const Wme* Engine::add_wme(Symbol cls, const Value* fields, size_t n) {
@@ -288,56 +243,32 @@ void Engine::remove_wme(const Wme* w) {
   pending_removes_.push_back(w);
 }
 
-void Engine::collect_seeds(bool adds, std::vector<Activation>& out) {
+void Engine::inject_pending(bool adds, std::vector<Activation>& out) {
   CollectCtx cc(out, agent_);
   const auto& pend = adds ? pending_adds_ : pending_removes_;
   for (const Wme* w : pend) net().inject(w, adds, cc);
 }
 
-void Engine::end_group_cycle() {
+void Engine::close_cycle() {
   pending_removes_.clear();
   pending_adds_.clear();
   wm_.end_cycle();
 }
 
 CycleTrace Engine::match() {
-  CycleTrace trace;
-  obs::Span cycle_span(trace_sink_, trace_track_,
-                       obs::EventKind::MatchCycle);
+  obs::Span cycle_span(tracer_, trace_track_, obs::EventKind::MatchCycle);
+  if (parallel()) {
+    // Threaded drain on the group's matcher; no per-task trace.
+    Engine* self = this;
+    group_.drain({&self, 1}, trace_track_);
+    return {};
+  }
   std::vector<Activation>& seeds = seed_scratch_;  // capacity reused per cycle
   seeds.clear();
-  if (parallel()) {
-    // Threaded drain on the persistent matcher; no per-task trace. The
-    // cycle's removals drain to quiescence before its additions: a delete
-    // token racing a sibling addition is order-dependent (a join can install
-    // a new PI behind a delete token that already passed that memory), so
-    // each threaded drain gets a homogeneous seed batch. Serial injection
-    // order (removes first) makes the final state identical.
-    CollectCtx cc(seeds, agent_);
-    for (const Wme* w : pending_removes_) net().inject(w, false, cc);
-    ParallelStats total;
-    if (!seeds.empty() || pending_adds_.empty()) {
-      obs::Span span(trace_sink_, trace_track_,
-                     obs::EventKind::DrainRemoves);
-      total = matcher().run_cycle(seeds);
-      seeds.clear();
-    }
-    if (!pending_adds_.empty()) {
-      obs::Span span(trace_sink_, trace_track_,
-                     obs::EventKind::DrainAdds);
-      for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-      total.accumulate(matcher().run_cycle(seeds));
-    }
-    last_parallel_stats_ = total;
-  } else {
-    CollectCtx cc(seeds, agent_);
-    for (const Wme* w : pending_removes_) net().inject(w, false, cc);
-    for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-    trace = serial_exec_.run_to_quiescence(seeds);
-  }
-  pending_removes_.clear();
-  pending_adds_.clear();
-  wm_.end_cycle();
+  inject_pending(false, seeds);
+  inject_pending(true, seeds);
+  CycleTrace trace = serial_exec_.run_to_quiescence(seeds);
+  close_cycle();
   return trace;
 }
 
@@ -378,9 +309,10 @@ void Engine::collect_metrics(obs::MetricsRegistry& m) const {
   } else {
     obs::collect(m, state_.arena.stats());
   }
+  // A group's tracer and profiler hold every session's data: the group
+  // collects them once, unless it is this standalone engine's own.
+  if (own_group_ == nullptr) return;
   if (tracer_ != nullptr) obs::collect(m, *tracer_);
-  // Own profiler only: a group-shared profiler holds every session's cells
-  // and is collected once by the group, not once per agent.
   if (profiler_ != nullptr) obs::collect(m, *profiler_);
 }
 

@@ -1,12 +1,11 @@
 // The production-system engine, post network/state split: an Engine is ONE
 // AGENT SESSION — working memory, match state (hash tables, alpha lists,
-// token arena), conflict set, RHS executor and pending wme queues — bound to
-// a CompiledNetwork it either owns (classic single-agent embedding) or
-// shares with sibling sessions (multi-agent serving; see
-// engine/agent_group.h). It provides the match/select/fire loop (OPS5 mode)
-// plus the primitives the Soar kernel drives (batched wme changes,
-// match-to-quiescence, fire-all, run-time production addition with the §5.2
-// state update for EVERY attached agent).
+// token arena), conflict set, RHS executor and pending wme queues — in an
+// AgentGroup (engine/agent_group.h) that owns what sessions share; a
+// standalone Engine is the single session of a private group. It provides
+// the match/select/fire loop (OPS5 mode) plus the primitives the Soar kernel
+// drives (batched wme changes, match-to-quiescence, fire-all, run-time
+// production addition with the §5.2 state update for EVERY session).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +35,8 @@ namespace analysis {
 struct VerifyReport;
 }
 
+class AgentGroup;
+
 /// Vestigial scheduler selector: ParallelMatcher has one scheduler (work
 /// stealing), so this enum has one value and nothing reads it. It exists only
 /// because perfbench/ sets EngineOptions::match_policy by this name; a later
@@ -46,7 +47,7 @@ struct TaskQueueSet {
 
 struct EngineOptions {
   size_t hash_lines = 4096;
-  BuilderOptions builder;  // ignored in attach mode (the network exists)
+  BuilderOptions builder;
   bool record_traces = true;
 
   /// TokenArena spill-chunk size (bytes). Larger chunks amortize the mmap
@@ -54,12 +55,12 @@ struct EngineOptions {
   /// bench_tokens sweeps this knob (see BENCH_tokens.json).
   uint32_t arena_chunk_bytes = TokenArena::kDefaultChunkBytes;
 
-  /// >1 switches match() and every §5.2 state update (load onto a live WM,
-  /// runtime add) to the threaded ParallelMatcher with this many workers. The matcher (and its
-  /// worker pool) is created once and persists across cycles. Parallel
-  /// cycles record no per-task trace (CycleTrace comes back empty), so keep
-  /// the serial default for psim trace collection. Ignored in attach mode
-  /// (the shared matcher's worker count governs).
+  /// 0 matches serially. N >= 1 builds an N-worker ParallelMatcher with the
+  /// group (once; its worker pool persists across cycles), and match(),
+  /// step_all() and every §5.2 state update (load onto a live WM, runtime
+  /// add) drain through it. Parallel cycles record no per-task trace
+  /// (CycleTrace comes back empty), so keep the serial default for psim
+  /// trace collection.
   size_t match_workers = 0;
   /// Unread; see TaskQueueSet above.
   TaskQueueSet::Policy match_policy = TaskQueueSet::Policy::Steal;
@@ -71,25 +72,22 @@ struct EngineOptions {
   /// against this split depth as the tuning hint.
   StealTuning steal;
 
-  /// Tracing (src/obs). When enabled the engine owns a Tracer: track 0
-  /// carries engine-level spans (match cycles, drain sub-phases, chunk
-  /// compiles, the §5.2 update phases, serial task spans) and tracks 1..N
-  /// the parallel workers' task/steal/park events. All rings are
-  /// preallocated (at Engine construction and ParallelMatcher::prewarm),
-  /// so tracing preserves the §10 zero-allocation guarantee. In attach mode
-  /// the group's tracer (if any) carries the worker tracks; this one only
-  /// carries the agent's own track-0 spans.
+  /// Tracing (src/obs). When enabled the group owns a Tracer. Track 0
+  /// carries a standalone engine's spans (match cycles, drain sub-phases,
+  /// chunk compiles, the §5.2 update phases, serial task spans), or a
+  /// group's step_all cycles; tracks 1..W the parallel workers'
+  /// task/steal/park events; track W+1+id each group session's own spans.
+  /// All rings are preallocated (at attach and ParallelMatcher::prewarm),
+  /// so tracing preserves the §10 zero-allocation guarantee.
   obs::TraceOptions trace;
 
-  /// Match profiling (obs/profiler.h). When enabled the engine owns a
-  /// MatchProfiler wired into both executors (serial and parallel): every
-  /// executed task is attributed to its (node, agent) cell in the executing
-  /// worker's shard. Shards are preallocated/grown only at quiescent drain
-  /// boundaries, so profiling preserves the §10 guarantee in both executors
-  /// (engine_alloc_test proves it). Read via profiler()/snapshot at
-  /// quiescence; production attribution happens at reporting time
-  /// (analysis/profile_report.h). In attach mode the group owns the shared
-  /// profiler instead (AgentGroupOptions::profile) and this flag is ignored.
+  /// Match profiling (obs/profiler.h). When enabled the group owns a
+  /// MatchProfiler wired into both executors: every executed task is
+  /// attributed to its (node, agent) cell in the executing worker's shard.
+  /// Shards grow only at quiescent drain boundaries, so profiling preserves
+  /// the §10 guarantee (engine_alloc_test proves it). Read via
+  /// profiler()/snapshot at quiescence; production attribution happens at
+  /// reporting time (analysis/profile_report.h).
   bool profile = false;
   /// Power-of-two activation TIMING sampling: a worker times every
   /// 2^shift-th task it executes (0 = time all). Counts stay exact either
@@ -100,62 +98,59 @@ struct EngineOptions {
 
 class Engine {
  public:
-  /// Classic single-agent form: creates and owns a private CompiledNetwork.
+  /// Standalone form: the single session of a private AgentGroup built
+  /// from `opts` (network, matcher, tracer and profiler).
   explicit Engine(EngineOptions opts = {});
 
-  /// Attach mode (multi-agent serving): joins `cnet` as a new agent session.
-  /// When `shared_matcher` is non-null the session registers its MatchState
-  /// with it and all parallel drains multiplex over that matcher's workers
-  /// (opts.match_workers is ignored); its agent tag is stamped on every
-  /// seed. The matcher and network must outlive the engine.
-  Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
-         ParallelMatcher* shared_matcher = nullptr);
+  /// A new session of `group`: shares its network, matcher, tracer and
+  /// profiler, and the group's options govern. Its agent tag is stamped on
+  /// every seed. Quiescent-only; the group must outlive the engine, whose
+  /// destruction unregisters it.
+  explicit Engine(AgentGroup& group);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  SymbolTable& syms() { return cnet_->syms(); }
-  ClassSchemas& schemas() { return cnet_->schemas(); }
-  Network& net() { return cnet_->net(); }
+  SymbolTable& syms() { return cnet_.syms(); }
+  ClassSchemas& schemas() { return cnet_.schemas(); }
+  Network& net() { return cnet_.net(); }
   WorkingMemory& wm() { return wm_; }
   ConflictSet& cs() { return cs_; }
-  Builder& builder() { return cnet_->builder(); }
+  Builder& builder() { return cnet_.builder(); }
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
 
   /// This session's match state (per-agent half of the split).
   MatchState& state() { return state_; }
   [[nodiscard]] const MatchState& state() const { return state_; }
-  /// The shared compile-side half. Never null.
-  CompiledNetwork& network() { return *cnet_; }
-  [[nodiscard]] std::shared_ptr<CompiledNetwork> shared_network() const {
-    return cnet_;
-  }
-  /// This session's tag in the shared matcher (0 for a standalone engine).
+  /// The shared compile-side half.
+  CompiledNetwork& network() { return cnet_; }
+  /// This session's agent id in its group (0 for a standalone engine).
   [[nodiscard]] uint32_t agent_id() const { return agent_; }
+  /// This session's track on tracer().
+  [[nodiscard]] uint32_t trace_track() const { return trace_track_; }
 
   /// Parses and compiles a source string (literalize forms + productions)
-  /// into the shared network. Every attached agent with a non-empty working
-  /// memory gets its memories updated via the §5.2 algorithm. Returns the
-  /// adopted productions. Throws std::invalid_argument, adopting nothing,
-  /// when a production name repeats or is already loaded.
+  /// into the shared network (AgentGroup::load). Returns the adopted
+  /// productions. Throws std::invalid_argument, adopting nothing, when a
+  /// production name repeats or is already loaded.
   std::vector<const Production*> load(std::string_view src);
 
   /// Compilation record of a loaded production.
   [[nodiscard]] const AddRecord& record(const Production* p) const {
-    return cnet_->record(p);
+    return cnet_.record(p);
   }
   [[nodiscard]] const std::vector<const Production*>& productions() const {
-    return cnet_->productions();
+    return cnet_.productions();
   }
 
   /// Run-time addition (chunking path): compiles `ast` into the live network
-  /// copy-on-write on the shared jumptable, then updates EVERY attached
-  /// agent's memories from its own WM (§5.2) — this session first, so the
-  /// returned traces are the learning agent's. Returns the traces of the
-  /// update phases (`ab`: alpha+right fill, which may run concurrently;
-  /// `c`: the last-shared-node replay, which must follow). Throws
-  /// std::invalid_argument, adopting nothing, when `ast`'s name is already
-  /// loaded.
+  /// copy-on-write on the shared jumptable, then updates every session's
+  /// memories from the wmes its network has seen (§5.2) — this session
+  /// first, so the returned traces are the learning agent's. Returns the
+  /// traces of the update phases (`ab`: alpha+right fill, which may run
+  /// concurrently; `c`: the last-shared-node replay, which must follow).
+  /// Throws std::invalid_argument, adopting nothing, when `ast`'s name is
+  /// already loaded.
   struct RuntimeAddResult {
     const Production* prod = nullptr;
     CycleTrace ab, c;
@@ -207,15 +202,6 @@ class Engine {
   /// cycle are complete before matching starts.
   CycleTrace match();
 
-  /// AgentGroup batching half of match(): injects this agent's pending
-  /// removes (adds=false) or adds (adds=true) as agent-tagged seeds into
-  /// `out` without clearing the queues, so N agents' cycles share one
-  /// threaded drain. Pair with end_group_cycle() after both drains.
-  void collect_seeds(bool adds, std::vector<Activation>& out);
-  /// AgentGroup batching: clears the pending queues and closes the wme
-  /// cycle (what match() does after its drains).
-  void end_group_cycle();
-
   /// Fires one instantiation: evaluates its RHS, applies the delta (queues
   /// wme changes), marks it fired. With `remove_after_fire` the
   /// instantiation leaves the CS (OPS5). Returns true if a halt executed.
@@ -247,52 +233,31 @@ class Engine {
     return !pending_adds_.empty() || !pending_removes_.empty();
   }
 
-  /// True when match() drains on a threaded matcher (own or shared).
-  [[nodiscard]] bool parallel() const {
-    return external_matcher_ != nullptr || opts_.match_workers > 1;
-  }
+  /// True when match() drains on the group's threaded matcher.
+  [[nodiscard]] bool parallel() const { return matcher_ != nullptr; }
 
-  /// The persistent parallel matcher: the shared one in attach mode, else
-  /// the privately owned one (created on first parallel match()); nullptr
-  /// while serial or before the first cycle.
-  [[nodiscard]] ParallelMatcher* parallel_matcher() const {
-    return external_matcher_ != nullptr ? external_matcher_ : matcher_.get();
-  }
+  /// The group's persistent parallel matcher; nullptr when serial.
+  [[nodiscard]] ParallelMatcher* parallel_matcher() const { return matcher_; }
   /// Scheduler statistics of the most recent parallel cycle this session
-  /// ran (in a group, step_all's aggregate lands on every participant).
+  /// ran (in a group, step_all's aggregate lands on every participant),
+  /// with this session's own arena snapshot.
   [[nodiscard]] const ParallelStats& last_parallel_stats() const {
     return last_parallel_stats_;
   }
 
-  /// Null unless options().trace.enabled. Read rings only at quiescence.
-  [[nodiscard]] obs::Tracer* tracer() const { return tracer_.get(); }
+  /// The group's tracer; null unless options().trace.enabled. This
+  /// session's spans go to track trace_track(). Read rings only at
+  /// quiescence.
+  [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
-  /// The active match profiler: the engine's own when options().profile,
-  /// else whatever set_profiler attached (AgentGroup's shared one); null
-  /// when profiling is off. Snapshot/reset only at quiescence.
-  [[nodiscard]] obs::MatchProfiler* profiler() const {
-    return external_profiler_ != nullptr ? external_profiler_
-                                         : profiler_.get();
-  }
-
-  /// Routes this session's serial task profiling into `p` instead of an
-  /// owned profiler (AgentGroup shares one across agents and workers).
-  /// Quiescent-only; the profiler must outlive the engine. Null restores
-  /// the own-profiler default.
-  void set_profiler(obs::MatchProfiler* p) {
-    external_profiler_ = p;
-    serial_exec_.set_profiler(profiler());
-  }
-
-  /// Routes this session's engine-level spans (match cycles, §5.2 update
-  /// phases, chunk compiles, serial task spans) into `t`'s ring `track`
-  /// instead of the engine's own tracer — AgentGroup gives every agent its
-  /// own track on the shared tracer (tracks W+1..W+A, after the workers').
-  /// Quiescent-only. Null restores the own-tracer default.
-  void set_trace_sink(obs::Tracer* t, size_t track);
+  /// The group's match profiler; null unless options().profile. Agent cells
+  /// are indexed by agent_id(). Snapshot/reset only at quiescence.
+  [[nodiscard]] obs::MatchProfiler* profiler() const { return profiler_; }
 
   /// Dumps the engine's current stats — last parallel cycle ("par.*"),
-  /// token arena ("arena.*"), tracer accounting ("obs.*") — into `m`.
+  /// token arena ("arena.*"), and for a standalone engine the tracer
+  /// ("obs.*") and profiler accounting — into `m`. A group collects its
+  /// shared tracer and profiler once (AgentGroup::collect_metrics).
   /// Reporting-time only: allocates, never call from the match hot path.
   void collect_metrics(obs::MetricsRegistry& m) const;
 
@@ -307,26 +272,36 @@ class Engine {
   /// The records of all loaded productions, in load order (the shape
   /// verify_network and the cost linter consume).
   [[nodiscard]] std::vector<const AddRecord*> all_records() const {
-    return cnet_->all_records();
+    return cnet_.all_records();
   }
 
  private:
   friend class AgentGroup;
 
+  Engine(AgentGroup* group, std::unique_ptr<AgentGroup> own);
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
-  ParallelMatcher& matcher();
+  /// Injects this session's pending removes (adds=false) or adds
+  /// (adds=true) as agent-tagged seeds into `out`; the queues stay.
+  void inject_pending(bool adds, std::vector<Activation>& out);
+  /// Clears the pending queues and closes the wme cycle (after the drains).
+  void close_cycle();
+  /// The wmes the network has matched: the live ones minus the pending
+  /// adds, plus the pending removes, in timetag order.
+  [[nodiscard]] std::vector<const Wme*> matched_wmes() const;
   /// One agent's §5.2 state update after a load or runtime add, drained
   /// through this agent's executor (the persistent serial one, or the
   /// matcher). Returns executed task count; fills `res` (traces) when
   /// non-null (the learning agent).
   uint64_t apply_runtime_update(const CompiledProduction& cp,
                                 RuntimeAddResult* res);
-  /// PSME_NET_VERIFY hooks: abort with the full report on violation.
-  void debug_verify_after_add(const Production* p) const;
-  void debug_verify_after_remove(const std::string& name) const;
 
-  EngineOptions opts_;
-  std::shared_ptr<CompiledNetwork> cnet_;  // owned or shared; never null
+  std::unique_ptr<AgentGroup> own_group_;  // a standalone engine's group
+  AgentGroup& group_;
+  CompiledNetwork& cnet_;
+  const EngineOptions& opts_;  // the group's
+  ParallelMatcher* matcher_;   // the group's; null when serial
+  obs::Tracer* tracer_;        // the group's; null unless trace.enabled
+  obs::MatchProfiler* profiler_;  // the group's; null unless profile
   MatchState state_;  // the per-agent half: tables, alpha lists, arena, sink
   WorkingMemory wm_;
   ConflictSet cs_;
@@ -334,14 +309,7 @@ class Engine {
   std::vector<const Wme*> pending_adds_;
   std::vector<const Wme*> pending_removes_;
   std::vector<std::string> output_;
-  ParallelMatcher* external_matcher_ = nullptr;  // attach mode (group-owned)
-  std::unique_ptr<ParallelMatcher> matcher_;     // standalone, persistent
   ParallelStats last_parallel_stats_;
-  std::unique_ptr<obs::Tracer> tracer_;  // created at ctor when trace.enabled
-  obs::Tracer* trace_sink_ = nullptr;  // own tracer, or the group's
-  uint32_t trace_track_ = 0;           // this agent's track in trace_sink_
-  std::unique_ptr<obs::MatchProfiler> profiler_;  // created when opts.profile
-  obs::MatchProfiler* external_profiler_ = nullptr;  // group-owned (attach)
   // Steady-state scratch, alive for the Engine's lifetime so repeated
   // cycles reuse high-water capacity (DESIGN.md §10): the serial executor
   // (ring + trace state), the per-cycle seed vector, and the fire delta.
@@ -349,7 +317,8 @@ class Engine {
   std::vector<Activation> seed_scratch_;
   WmeDelta fire_delta_;
   UpdateScratch update_scratch_;  // §5.2 update seeds, capacity reused
-  uint32_t agent_ = 0;  // tag in the shared matcher (attach mode)
+  uint32_t agent_ = 0;        // id in the group; the tag on every seed
+  uint32_t trace_track_ = 0;  // this session's track on tracer_
 };
 
 }  // namespace psme

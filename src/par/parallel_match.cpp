@@ -1,6 +1,7 @@
 #include "par/parallel_match.h"
 
 #include <chrono>
+#include <stdexcept>
 
 #include "obs/record.h"
 
@@ -203,6 +204,13 @@ uint32_t ParallelMatcher::register_agent(MatchState& st) {
   return static_cast<uint32_t>(states_.size() - 1);
 }
 
+void ParallelMatcher::unregister_agent(uint32_t id) {
+  if (id >= states_.size() || states_[id] == nullptr) {
+    throw std::invalid_argument("ParallelMatcher: agent is not registered");
+  }
+  states_[id] = nullptr;
+}
+
 ParallelMatcher::~ParallelMatcher() { reset_slots(); }
 
 void ParallelMatcher::reset_slots() {
@@ -219,6 +227,14 @@ void ParallelMatcher::reset_slots() {
 
 ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
                                          const UpdateFilter* filter) {
+  // A bad tag is rejected before any state is touched, so the matcher stays
+  // usable after the throw.
+  for (const Activation& s : seeds) {
+    if (s.agent >= states_.size() || states_[s.agent] == nullptr) {
+      throw std::invalid_argument(
+          "ParallelMatcher::run_cycle: seed for an unregistered agent");
+    }
+  }
   // Epoch lifecycle, pinned to the drain: every worker of this cycle enters
   // the new epoch before dispatch; the sweep runs after the pool join (the
   // ParkingLot exit cascade has completed and all workers are parked), when
@@ -227,6 +243,7 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
   // mix of agent tags — and alpha state compiled since the last drain
   // (chunk additions) is materialized per agent at this quiescent boundary.
   for (MatchState* ms : states_) {
+    if (ms == nullptr) continue;
     ms->ensure_alpha(net_.alpha_mem_count());
     ms->arena.begin_drain(n_workers_);
   }
@@ -278,8 +295,14 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   for (const auto& s : slots_) st.accumulate(s->stats);
-  for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
-  if (!states_.empty()) st.arena = states_[0]->arena.stats();
+  for (MatchState* ms : states_) {
+    if (ms != nullptr) ms->arena.reclaim_at_quiescence();
+  }
+  // Agent 0's arena: the single-agent callers' state. A group overwrites
+  // this per session with the session's own arena.
+  if (!states_.empty() && states_[0] != nullptr) {
+    st.arena = states_[0]->arena.stats();
+  }
   st.pool_slabs = apool_.slab_allocs();
   lifetime_tasks_ += st.tasks;
   ++lifetime_cycles_;

@@ -206,14 +206,15 @@ class ParallelMatcher {
 
   /// Registers another agent's state; returns its agent id (the tag its
   /// seeds must carry). Quiescent-only: never call while a cycle is in
-  /// flight. The state must outlive the matcher (or at least every cycle
-  /// that references its id).
+  /// flight. The state must stay alive until unregister_agent(id) or the
+  /// matcher's destruction.
   uint32_t register_agent(MatchState& st);
 
-  [[nodiscard]] size_t agent_count() const { return states_.size(); }
-  [[nodiscard]] MatchState& agent_state(uint32_t agent) {
-    return *states_[agent];
-  }
+  /// Frees agent `id`'s slot: later cycles skip it, and a seed tagged with
+  /// it is rejected. Ids are never reused. Quiescent-only, like
+  /// register_agent. Throws std::invalid_argument for an id that is not
+  /// registered.
+  void unregister_agent(uint32_t id);
 
   /// Drains `seeds` and everything they spawn across all workers; returns
   /// when the match is quiescent. Seeds must be homogeneous — all additions
@@ -232,12 +233,13 @@ class ParallelMatcher {
   /// filter to seeds and emits alike: the drain is then one phase of
   /// run_update_phases (rete/update.h), which is what Figure 6-9 measures —
   /// the new production's state update enjoys the full parallelism of the
-  /// match.
+  /// match. Throws std::invalid_argument, before any seed is consumed, when
+  /// a seed's agent tag was never registered or has been unregistered; the
+  /// matcher stays usable.
   ParallelStats run_cycle(std::vector<Activation>& seeds,
                           const UpdateFilter* filter = nullptr);
 
   [[nodiscard]] size_t workers() const { return n_workers_; }
-  [[nodiscard]] const StealTuning& tuning() const { return tuning_; }
 
   /// Aggregate over every cycle this matcher has run (persistent-lifetime
   /// diagnostics; per-cycle numbers come from the run_* return value).
@@ -275,8 +277,9 @@ class ParallelMatcher {
   void prewarm();
 
   Network& net_;
-  // Registered agent states, indexed by agent id (0 = the primary). The
-  // worker loops re-bind their ExecContext from this table per task.
+  // Registered agent states, indexed by agent id (0 = the primary); null
+  // marks an unregistered id. The worker loops re-bind their ExecContext
+  // from this table per task.
   std::vector<MatchState*> states_;
   size_t n_workers_;
   StealTuning tuning_;

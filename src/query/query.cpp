@@ -43,10 +43,14 @@ Engine::RuntimeAddResult QuerySession::begin(std::string_view cue_ces) {
   if (engine_.has_pending_changes()) engine_.match();
 
   Parser parser(engine_.syms(), engine_.schemas(), engine_.network().ast_arena());
-  const Symbol name = engine_.syms().gensym(
-      "query-a" + std::to_string(engine_.agent_id()) + "-");
+  // One name per session: end() frees it, so every cue reuses it instead of
+  // growing the symbol table by one gensym per ask.
+  if (!name_.valid()) {
+    name_ = engine_.syms().gensym("query-a" +
+                                  std::to_string(engine_.agent_id()) + "-");
+  }
   Production ast =
-      parser.parse_production(query_text(engine_.syms().name(name), cue_ces));
+      parser.parse_production(query_text(engine_.syms().name(name_), cue_ces));
   for (const Condition& ce : ast.conditions) {
     if (ce.negated || ce.is_ncc()) {
       throw std::invalid_argument(

@@ -109,6 +109,7 @@ class QuerySession {
  private:
   Engine& engine_;
   const Production* prod_ = nullptr;  // the active transient production
+  Symbol name_;  // gensym'd at the first begin(), reused by every cue
 };
 
 }  // namespace psme

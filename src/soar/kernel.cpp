@@ -15,10 +15,7 @@ namespace {
 /// same worker pool instead of re-spawning threads per cycle.
 EngineOptions with_match_override(const SoarOptions& opts) {
   EngineOptions eo = opts.engine;
-  if (opts.match_workers != 0) {
-    eo.match_workers = opts.match_workers;
-    eo.record_traces = eo.record_traces && opts.match_workers <= 1;
-  }
+  if (opts.match_workers != 0) eo.match_workers = opts.match_workers;
   return eo;
 }
 
@@ -29,10 +26,8 @@ SoarKernel::SoarKernel(SoarOptions opts)
   init();
 }
 
-SoarKernel::SoarKernel(SoarOptions opts, std::shared_ptr<CompiledNetwork> cnet,
-                       ParallelMatcher* shared_matcher)
-    : opts_(opts),
-      engine_(std::move(cnet), with_match_override(opts), shared_matcher) {
+SoarKernel::SoarKernel(SoarOptions opts, AgentGroup& group)
+    : opts_(opts), engine_(group) {
   // Interning is idempotent, so N sessions sharing one symbol table all
   // resolve the same architectural symbols and slot layouts.
   init();
@@ -235,7 +230,8 @@ void SoarKernel::flush_chunks(SoarRunStats& stats) {
   for (const PendingResult& pr : pending_results_) {
     if (!engine_.wm().is_live(pr.wme)) continue;
     std::string sig;
-    obs::Span build_span(engine_.tracer(), 0, obs::EventKind::ChunkBuild);
+    obs::Span build_span(engine_.tracer(), engine_.trace_track(),
+                         obs::EventKind::ChunkBuild);
     auto chunk = chunker.build_chunk(pr.wme, pr.result_level, &sig);
     build_span.end();
     if (!chunk) continue;
@@ -322,7 +318,8 @@ SoarRunStats SoarKernel::run() {
   }
   for (;;) {
     {
-      obs::Span span(engine_.tracer(), 0, obs::EventKind::Elaborate);
+      obs::Span span(engine_.tracer(), engine_.trace_track(),
+                     obs::EventKind::Elaborate);
       const uint64_t t0 = obs::profile_now_ns();
       elaborate(stats);
       stats.elaborate_ns += obs::profile_now_ns() - t0;
@@ -338,13 +335,15 @@ SoarRunStats SoarKernel::run() {
     ++stats.decisions;
     bool changed = false;
     {
-      obs::Span span(engine_.tracer(), 0, obs::EventKind::Decide);
+      obs::Span span(engine_.tracer(), engine_.trace_track(),
+                     obs::EventKind::Decide);
       const uint64_t t0 = obs::profile_now_ns();
       changed = decide(stats);
       stats.decide_ns += obs::profile_now_ns() - t0;
     }
     if (changed) {
-      obs::Span span(engine_.tracer(), 0, obs::EventKind::Gc);
+      obs::Span span(engine_.tracer(), engine_.trace_track(),
+                     obs::EventKind::Gc);
       const uint64_t t0 = obs::profile_now_ns();
       gc_unreachable();
       stats.gc_ns += obs::profile_now_ns() - t0;

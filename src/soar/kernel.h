@@ -30,7 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/engine.h"
+#include "engine/agent_group.h"
 
 namespace psme {
 
@@ -44,6 +44,7 @@ struct SoarOptions {
   /// engine.match_workers so a whole Soar run (every
   /// elaboration cycle plus every chunk's §5.2 state update) drains through
   /// one persistent ParallelMatcher. Parallel cycles record no traces.
+  /// Like `engine`, ignored by the group form (the group's options govern).
   size_t match_workers = 0;
 
   /// Flight recorder (obs/profiler.h): when non-zero, run() captures a
@@ -102,14 +103,13 @@ class SoarKernel {
  public:
   explicit SoarKernel(SoarOptions opts = {});
 
-  /// Per-agent session over a shared network (multi-agent serving): the
-  /// kernel's engine joins `cnet` — and `shared_matcher`'s worker pool, when
-  /// given — as a new agent session (see engine/agent_group.h for the
-  /// group-managed form). Chunks this kernel learns are compiled
-  /// copy-on-write into the shared jumptable and every sibling agent's
-  /// memories are brought up to date (§5.2); chunk dedup is network-wide.
-  SoarKernel(SoarOptions opts, std::shared_ptr<CompiledNetwork> cnet,
-             ParallelMatcher* shared_matcher = nullptr);
+  /// Per-agent session in a group (multi-agent serving): the kernel's
+  /// engine joins `group` (engine/agent_group.h) as a new session, sharing
+  /// its network and, when the group is threaded, its matcher. Chunks this
+  /// kernel learns are compiled copy-on-write into the shared jumptable and
+  /// every sibling session's memories are brought up to date (§5.2); chunk
+  /// dedup is network-wide. The group must outlive the kernel.
+  SoarKernel(SoarOptions opts, AgentGroup& group);
 
   Engine& engine() { return engine_; }
   [[nodiscard]] const SoarOptions& options() const { return opts_; }

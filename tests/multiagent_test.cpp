@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -65,8 +66,8 @@ class MultiAgentDifferential : public ::testing::TestWithParam<GroupCase> {};
 TEST_P(MultiAgentDifferential, AgreesWithIsolatedSerialEngines) {
   const GroupCase c = GetParam();
 
-  AgentGroupOptions gopts;
-  gopts.workers = c.workers;
+  EngineOptions gopts;
+  gopts.match_workers = c.workers;
   AgentGroup group(gopts);
   std::vector<std::unique_ptr<Engine>> oracles;
   for (size_t a = 0; a < c.agents; ++a) {
@@ -106,7 +107,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GroupCase{"steal2x4", 2, 4},
                       GroupCase{"steal4x4", 4, 4},
                       GroupCase{"steal3x2", 3, 2},
-                      GroupCase{"steal5x1", 5, 1}),
+                      GroupCase{"steal5x1", 5, 1},
+                      GroupCase{"serial3x0", 3, 0}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// Run-time production addition (the chunking path) from ONE agent while
@@ -115,8 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
 /// the network all along.
 TEST(MultiAgentRuntimeAdd, CowPublishUpdatesEveryAgent) {
   constexpr size_t kAgents = 3;
-  AgentGroupOptions gopts;
-  gopts.workers = 4;
+  EngineOptions gopts;
+  gopts.match_workers = 4;
   AgentGroup group(gopts);
   std::vector<std::unique_ptr<Engine>> oracles;
   for (size_t a = 0; a < kAgents; ++a) {
@@ -181,8 +183,8 @@ TEST(MultiAgentRuntimeAdd, ChunkSignaturesDedupAcrossAgents) {
 
 /// Per-agent metric namespaces exist and the group gauges are right.
 TEST(MultiAgentObservability, MetricsAreNamespacedPerAgent) {
-  AgentGroupOptions gopts;
-  gopts.workers = 2;
+  EngineOptions gopts;
+  gopts.match_workers = 2;
   AgentGroup group(gopts);
   group.add_agent();
   group.add_agent();
@@ -207,8 +209,8 @@ TEST(MultiAgentObservability, MetricsAreNamespacedPerAgent) {
 /// a mid-run COW production add. No assertions beyond the differential —
 /// the point is the interleavings TSan gets to watch.
 TEST(MultiAgentRaceStress, TwoAgentsUnderFullWidthDrains) {
-  AgentGroupOptions gopts;
-  gopts.workers = 8;
+  EngineOptions gopts;
+  gopts.match_workers = 8;
   AgentGroup group(gopts);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();
@@ -251,6 +253,104 @@ TEST(MultiAgentRaceStress, TwoAgentsUnderFullWidthDrains) {
   }
   EXPECT_EQ(cs_fingerprint(a0), cs_fingerprint(o0));
   EXPECT_EQ(cs_fingerprint(a1), cs_fingerprint(o1));
+}
+
+/// Destroying a session unregisters it: its siblings keep matching through
+/// the shared matcher (which held a pointer to the dead session's state),
+/// and the freed id is never handed out again.
+TEST(MultiAgentLifecycle, DestroyedSessionIsUnregistered) {
+  EngineOptions gopts;
+  gopts.match_workers = 4;
+  AgentGroup group(gopts);
+  auto doomed = std::make_unique<Engine>(group);
+  Engine& sibling = group.add_agent();
+  group.load(shared_productions());
+  Engine oracle;
+  oracle.load(shared_productions());
+  add_agent_wmes(*doomed, 0, 8, 0);
+  add_agent_wmes(sibling, 1, 8, 0);
+  add_agent_wmes(oracle, 1, 8, 0);
+  group.step_all();
+  oracle.match();
+
+  const uint32_t doomed_id = doomed->agent_id();
+  doomed.reset();
+  EXPECT_EQ(group.agent_count(), 1u);
+  for (int wave = 1; wave < 3; ++wave) {
+    add_agent_wmes(sibling, 1, 8, wave);
+    add_agent_wmes(oracle, 1, 8, wave);
+    remove_every_kth(sibling, 3);
+    remove_every_kth(oracle, 3);
+    if (wave == 1) {
+      sibling.match();
+    } else {
+      group.step_all();
+    }
+    oracle.match();
+    EXPECT_EQ(cs_fingerprint(sibling), cs_fingerprint(oracle))
+        << "wave " << wave;
+  }
+  const Engine& fresh = group.add_agent();
+  EXPECT_NE(fresh.agent_id(), doomed_id);
+  EXPECT_GT(fresh.agent_id(), sibling.agent_id());
+  EXPECT_THROW(group.matcher()->unregister_agent(doomed_id),
+               std::invalid_argument);
+}
+
+/// A seed tagged with an id the matcher never registered, or has since
+/// unregistered, is rejected before any seed is consumed; the matcher then
+/// keeps running ordinary cycles.
+TEST(MultiAgentLifecycle, RunCycleRejectsUnregisteredSeeds) {
+  EngineOptions gopts;
+  gopts.match_workers = 2;
+  AgentGroup group(gopts);
+  Engine& live = group.add_agent();
+  uint32_t gone_id = 0;
+  {
+    Engine gone(group);
+    gone_id = gone.agent_id();
+  }
+  group.load(shared_productions());
+  ParallelMatcher& m = *group.matcher();
+  for (const uint32_t bad : {gone_id, uint32_t{99}}) {
+    std::vector<Activation> seeds(2);
+    seeds[0].agent = live.agent_id();
+    seeds[1].agent = bad;
+    EXPECT_THROW(m.run_cycle(seeds), std::invalid_argument) << "agent " << bad;
+    EXPECT_EQ(seeds.size(), 2u) << "no seed may be consumed";
+  }
+  Engine oracle;
+  oracle.load(shared_productions());
+  add_agent_wmes(live, 0, 10, 0);
+  add_agent_wmes(oracle, 0, 10, 0);
+  group.step_all();
+  oracle.match();
+  EXPECT_EQ(cs_fingerprint(live), cs_fingerprint(oracle));
+}
+
+/// A group session's private match() reports its own token arena, not
+/// agent 0's.
+TEST(MultiAgentObservability, PrivateMatchReportsOwnArena) {
+  EngineOptions gopts;
+  gopts.match_workers = 2;
+  AgentGroup group(gopts);
+  group.add_agent();  // agent 0 stays idle
+  Engine& busy = group.add_agent();
+  // Five CEs: every full token outgrows the inline capacity and spills.
+  group.load(
+      "(p five (a ^v <x>) (b ^v <x>) (c ^v <x>) (d ^v <x>) (e ^v <x>) "
+      "--> (halt))");
+  for (int i = 0; i < 20; ++i) {
+    for (const char* cls : {"a", "b", "c", "d", "e"}) {
+      busy.add_wme_text(std::string("(") + cls + " ^v " + std::to_string(i) +
+                        ")");
+    }
+  }
+  busy.match();
+  const MatchStats own = busy.state().arena.stats();
+  EXPECT_GT(own.spill_allocs, 0u);
+  EXPECT_EQ(busy.last_parallel_stats().arena.spill_allocs, own.spill_allocs);
+  EXPECT_EQ(group.agent(0).state().arena.stats().spill_allocs, 0u);
 }
 
 }  // namespace

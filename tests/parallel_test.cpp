@@ -371,9 +371,9 @@ TEST(EngineIntegration, LoadOntoLiveWmDrainsThroughMatcher) {
   expect_same_state(serial, par);
 
   // Two group sessions with different WMs over one network and matcher.
-  AgentGroupOptions gopt;
-  gopt.workers = 4;
-  gopt.agent.record_traces = false;
+  EngineOptions gopt;
+  gopt.match_workers = 4;
+  gopt.record_traces = false;
   AgentGroup group(gopt);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();
@@ -388,11 +388,11 @@ TEST(EngineIntegration, LoadOntoLiveWmDrainsThroughMatcher) {
   group.step_all();
   s0.match();
   s1.match();
-  const uint64_t group_cycles = group.matcher().lifetime_cycles();
+  const uint64_t group_cycles = group.matcher()->lifetime_cycles();
   group.load(late);
   s0.load(late);
   s1.load(late);
-  EXPECT_EQ(group.matcher().lifetime_cycles(), group_cycles + 6);
+  EXPECT_EQ(group.matcher()->lifetime_cycles(), group_cycles + 6);
   expect_same_state(s0, a0);
   expect_same_state(s1, a1);
 
@@ -402,6 +402,82 @@ TEST(EngineIntegration, LoadOntoLiveWmDrainsThroughMatcher) {
   group.step_all();
   s0.match();
   expect_same_state(s0, a0);
+}
+
+// A load onto a working memory with queued changes must seed the §5.2
+// update from what the network has matched: the queued adds reach the new
+// production at the next match(), and the queued removes are still in the
+// network until then. The reference engine loaded p2 before any wme.
+enum class Queued { Adds, Removes };
+
+const char* kLateP1 = "(p p1 (a ^v <x>) (b ^v <x>) --> (halt))";
+const char* kLateP2 = "(p p2 (a ^v <x>) (b ^v <x>) (d ^v <x>) --> (halt))";
+
+void add_triples(Engine& e, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    for (const char* cls : {"a", "b", "d"}) {
+      e.add_wme_text(std::string("(") + cls + " ^v " + std::to_string(i) +
+                     ")");
+    }
+  }
+}
+
+/// Matches 20 triples, then queues 10 more (Adds) or the retraction of the
+/// first 10 (Removes), leaving the changes pending.
+void queue_changes(Engine& e, Queued q) {
+  add_triples(e, 0, 20);
+  e.match();
+  if (q == Queued::Adds) {
+    add_triples(e, 20, 30);
+    return;
+  }
+  std::vector<const Wme*> victims;
+  for (const Wme* w : e.wm().live()) {
+    if (w->fields[0].as_int() < 10) victims.push_back(w);
+  }
+  for (const Wme* w : victims) e.remove_wme(w);
+}
+
+void expect_late_load_matches_reference(Engine& late, Queued q,
+                                        const char* label) {
+  Engine ref;
+  ref.load(std::string(kLateP1) + kLateP2);
+  queue_changes(ref, q);
+  ref.match();
+  late.match();
+  EXPECT_EQ(cs_fingerprint(ref), cs_fingerprint(late)) << label;
+  EXPECT_EQ(ref.state().tables.total_left_entries(),
+            late.state().tables.total_left_entries())
+      << label;
+  EXPECT_EQ(ref.state().tables.total_right_entries(),
+            late.state().tables.total_right_entries())
+      << label;
+}
+
+TEST(LateLoad, SeedsOnlyWhatTheNetworkHasMatched) {
+  for (const Queued q : {Queued::Adds, Queued::Removes}) {
+    const char* label = q == Queued::Adds ? "queued adds" : "queued removes";
+    for (const size_t workers : {size_t{0}, size_t{4}}) {
+      EngineOptions opts;
+      opts.match_workers = workers;
+      Engine e(opts);
+      e.load(kLateP1);
+      queue_changes(e, q);
+      e.load(kLateP2);
+      expect_late_load_matches_reference(e, q, label);
+    }
+    EngineOptions gopts;
+    gopts.match_workers = 2;
+    AgentGroup group(gopts);
+    Engine& a0 = group.add_agent();
+    Engine& a1 = group.add_agent();
+    group.load(kLateP1);
+    queue_changes(a0, q);
+    queue_changes(a1, q);
+    group.load(kLateP2);
+    expect_late_load_matches_reference(a0, q, label);
+    expect_late_load_matches_reference(a1, q, label);
+  }
 }
 
 }  // namespace

@@ -129,8 +129,8 @@ TEST(Profiler, ParallelSamplingIsBounded) {
 }
 
 TEST(Profiler, IdleAgentAccumulatesNothing) {
-  AgentGroupOptions gopts;
-  gopts.workers = 4;
+  EngineOptions gopts;
+  gopts.match_workers = 4;
   gopts.profile = true;
   AgentGroup group(gopts);
   Engine& busy = group.add_agent();

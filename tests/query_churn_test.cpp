@@ -51,8 +51,8 @@ const char* cue_for(int cycle) {
 }
 
 TEST(QueryChurn, TenThousandCyclesStayFlat) {
-  AgentGroupOptions gopts;
-  gopts.workers = 2;
+  EngineOptions gopts;
+  gopts.match_workers = 2;
   AgentGroup group(gopts);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();

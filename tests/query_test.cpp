@@ -268,6 +268,17 @@ TEST(Naming, DuplicateProductionNamesAreRejected) {
   q2.end();
 }
 
+TEST(Naming, QuerySessionReusesOneName) {
+  // end() frees the transient production's name, so a session gensyms it
+  // once: a thousand asks must not grow the symbol table per ask.
+  Engine e;
+  seed_stack(e);
+  QuerySession q(e);
+  const size_t before = e.syms().size();
+  for (int i = 0; i < 1000; ++i) q.ask("(block ^name <b> ^color blue)");
+  EXPECT_LE(e.syms().size(), before + 1);
+}
+
 TEST(Removal, RemoveLastProductionEmptiesNetwork) {
   Engine e;
   const auto prods = e.load(
@@ -310,8 +321,8 @@ TEST(Removal, NccProductionUnsplicesPairAndDrains) {
 }
 
 TEST(Removal, MultiAgentDrainTouchesEveryAgent) {
-  AgentGroupOptions gopts;
-  gopts.workers = 2;
+  EngineOptions gopts;
+  gopts.match_workers = 2;
   AgentGroup group(gopts);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();
@@ -340,8 +351,8 @@ TEST(Removal, MultiAgentDrainTouchesEveryAgent) {
 }
 
 TEST(QueryMultiAgent, SessionsSeeOnlyTheirOwnEpisode) {
-  AgentGroupOptions gopts;
-  gopts.workers = 2;
+  EngineOptions gopts;
+  gopts.match_workers = 2;
   AgentGroup group(gopts);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();

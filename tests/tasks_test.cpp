@@ -3,6 +3,9 @@
 // during learning, learned chunks transfer.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "tasks/registry.h"
 
 namespace psme {
@@ -85,6 +88,35 @@ TEST(Tasks, AfterChunkingUsesFewerDecisionsEightPuzzle) {
 
 TEST(Tasks, UnknownTaskThrows) {
   EXPECT_THROW(make_task("nonsense"), std::invalid_argument);
+}
+
+/// Three learning eight-puzzle kernels as sessions of one serial group: the
+/// first learns every chunk, the later ones find them in the shared network
+/// (signature dedup), so they build none and hit fewer impasses.
+TEST(Tasks, KernelsInOneGroupShareChunks) {
+  const Task task = make_eight_puzzle();
+  AgentGroup group;
+  std::vector<std::unique_ptr<SoarKernel>> kernels;
+  std::vector<SoarRunStats> stats;
+  for (int a = 0; a < 3; ++a) {
+    SoarOptions opts;
+    opts.learning = true;
+    opts.max_decisions = task.max_decisions;
+    kernels.push_back(std::make_unique<SoarKernel>(opts, group));
+    SoarKernel& k = *kernels.back();
+    if (a == 0) k.load_productions(task.productions);
+    task.init(k);
+    stats.push_back(k.run());
+  }
+  for (const SoarRunStats& st : stats) EXPECT_TRUE(st.goal_achieved);
+  EXPECT_EQ(stats[0].chunks_built, 15u);
+  EXPECT_EQ(stats[0].impasses, 11u);
+  for (int a = 1; a < 3; ++a) {
+    EXPECT_EQ(stats[a].chunks_built, 0u) << "agent " << a;
+    EXPECT_EQ(stats[a].impasses, 4u) << "agent " << a;
+  }
+  EXPECT_EQ(group.network().cow_publishes(), 15u);
+  EXPECT_EQ(group.agent_count(), 3u);
 }
 
 }  // namespace
