@@ -3,7 +3,6 @@
 // the learned chunks preloaded and compare the effort.
 //
 //   $ ./eight_puzzle_demo [--stats] [--agents N] [--chain-split-depth N]
-//                         [--steal-backoff-base N] [--steal-backoff-max N]
 //                         [--steal-backoff-park N] [--profile-json <path>]
 //   $ PSME_TRACE=trace.json ./eight_puzzle_demo
 //
@@ -126,10 +125,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--chain-split-depth") == 0) {
       tuning.chain_split_depth = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-base") == 0) {
-      tuning.backoff_base_spins = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-max") == 0) {
-      tuning.backoff_max_spins = value();
     } else if (std::strcmp(argv[i], "--steal-backoff-park") == 0) {
       tuning.backoff_park_sweeps = value();
     }

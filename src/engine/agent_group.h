@@ -9,10 +9,10 @@
 // One drain runs the threaded cycle for any set of sessions: all their
 // removals, then all their additions. Engine::match() runs it for one
 // session; step_all() for every session, paying the pool's fork-join
-// dispatch once per group cycle instead of once per session (the aggregate
-// throughput win of bench_multiagent). Runtime chunk addition from any
-// session is copy-on-write on the shared jumptable, then a §5.2 state update
-// per session. Destroying a session unregisters it; ids are never reused.
+// dispatch once per group cycle instead of once per session. Runtime chunk
+// addition from any session is copy-on-write on the shared jumptable, then a
+// §5.2 state update per session. Destroying a session unregisters it; ids
+// are never reused.
 //
 // Trace tracks: 0 = coordinator (or a standalone engine), 1..W = workers,
 // W+1+id = group sessions.
@@ -32,8 +32,8 @@ class AgentGroup {
  public:
   /// `opts` governs every session: match_workers/steal build the shared
   /// matcher, trace/profile the shared tracer and profiler, and the rest
-  /// (hash_lines, arena_chunk_bytes, record_traces, builder) apply per
-  /// session or to the network.
+  /// (hash_lines, record_traces, builder) apply per session or to the
+  /// network.
   /// Sessions constructed with Engine(group) must be destroyed before the
   /// group; the add_agent() ones die with it.
   explicit AgentGroup(EngineOptions opts = {});

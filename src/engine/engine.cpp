@@ -37,7 +37,7 @@ Engine::Engine(AgentGroup* group, std::unique_ptr<AgentGroup> own)
       matcher_(group_.matcher()),
       tracer_(group_.tracer()),
       profiler_(group_.profiler()),
-      state_(opts_.hash_lines, opts_.arena_chunk_bytes),
+      state_(opts_.hash_lines),
       rhs_(cnet_.syms(), cnet_.schemas()),
       serial_exec_(cnet_.net(), state_, opts_.record_traces) {
   state_.sink = &cs_;
@@ -122,7 +122,7 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
   // and B (which may run concurrently) into `ab`, the replay into `c`. Its
   // profiler matters too: the §5.2 update IS the evaluation for a transient
   // query, so without it a cue's new-node activations would be invisible to
-  // the per-CE costing (query_demo --profile / bench_query).
+  // the per-CE costing (query_demo --profile).
   CycleTrace ab, c;
   const uint64_t tasks = run_update_phases(
       net(), state_, cp, wm_snapshot, agent_, update_scratch_,

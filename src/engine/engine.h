@@ -50,11 +50,6 @@ struct EngineOptions {
   BuilderOptions builder;
   bool record_traces = true;
 
-  /// TokenArena spill-chunk size (bytes). Larger chunks amortize the mmap
-  /// cost of deep token spills; smaller chunks waste less on quiet workers.
-  /// bench_tokens sweeps this knob (see BENCH_tokens.json).
-  uint32_t arena_chunk_bytes = TokenArena::kDefaultChunkBytes;
-
   /// 0 matches serially. N >= 1 builds an N-worker ParallelMatcher with the
   /// group (once; its worker pool persists across cycles), and match(),
   /// step_all() and every §5.2 state update (load onto a live WM, runtime

@@ -23,8 +23,8 @@
 // Node-id caveat: run-time production removal tombstones node ids and
 // recycles the slots (rete/remove_production.cpp), so a cell indexed by a
 // recycled id accumulates both tenants' numbers. Take snapshot()/reset()
-// windows around churn when per-node attribution must be exact (bench_query
-// does this for its per-CE costing).
+// windows around churn when per-node attribution must be exact (query_demo
+// --profile does this for its per-CE costing).
 //
 // The flight recorder keeps the last N (metrics + profile) snapshots in a
 // preallocated ring for post-hoc inspection of long-lived sessions without

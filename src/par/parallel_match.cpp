@@ -18,6 +18,11 @@ inline size_t sweep_bucket(uint32_t run) {
   return 5;
 }
 
+/// The sweep backoff ladder's spin budget; StealTuning::backoff_park_sweeps
+/// sets how many rounds run.
+constexpr uint32_t kBackoffBaseSpins = 4;
+constexpr uint32_t kBackoffMaxSpins = 512;
+
 inline uint64_t backoff_now_ns() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -130,15 +135,6 @@ uint64_t ActivationPool::slab_allocs() const {
   uint64_t total = 0;
   for (const auto& s : shards_) total += s->slab_allocs;
   return total;
-}
-
-ParallelMatcher::ParallelMatcher(Network& net, MatchState& primary,
-                                 size_t n_workers, obs::Tracer* tracer,
-                                 StealTuning tuning,
-                                 obs::MatchProfiler* profiler)
-    : ParallelMatcher(net, n_workers, tracer, tuning, profiler) {
-  // Agent 0 is the primary state (single-agent call sites).
-  register_agent(primary);
 }
 
 ParallelMatcher::ParallelMatcher(Network& net, size_t n_workers,
@@ -400,8 +396,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
       for (uint32_t round = 0;
            a == nullptr && round < tuning_.backoff_park_sweeps; ++round) {
         const uint64_t b0 = backoff_now_ns();
-        sweep_backoff(round, tuning_.backoff_base_spins,
-                      tuning_.backoff_max_spins);
+        sweep_backoff(round, kBackoffBaseSpins, kBackoffMaxSpins);
         me.stats.sweep_backoff_ns += backoff_now_ns() - b0;
         const uint64_t moved = lot_.ticket();
         if (moved == ticket) continue;  // nothing published: provably empty

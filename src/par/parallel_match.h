@@ -52,17 +52,15 @@ namespace psme {
 struct StealTuning {
   /// Sweep backoff ladder: after a failed whole-pool sweep a worker runs
   /// `backoff_park_sweeps` backoff rounds before parking on its pre-sweep
-  /// ticket; in round i it spins `backoff_base_spins << i` pause
-  /// instructions (once the doubled budget reaches `backoff_max_spins` it
-  /// yields the core instead). Rounds re-sweep only when the publish epoch
-  /// has moved — otherwise the deques are provably still empty — so a
-  /// quiet idle episode costs exactly one failed sweep. Zero rounds means
-  /// park right after the first failed sweep. Lower park thresholds trade
-  /// steal latency for idle cost — on an oversubscribed host (the common
-  /// case at 8-13 workers) parking early is what keeps failed sweeps off
-  /// the bus.
-  uint32_t backoff_base_spins = 4;
-  uint32_t backoff_max_spins = 512;
+  /// ticket; in round i it spins `kBackoffBaseSpins << i` pause
+  /// instructions (once the doubled budget reaches `kBackoffMaxSpins` it
+  /// yields the core instead; both are fixed in parallel_match.cpp). Rounds
+  /// re-sweep only when the publish epoch has moved — otherwise the deques
+  /// are provably still empty — so a quiet idle episode costs exactly one
+  /// failed sweep. Zero rounds means park right after the first failed
+  /// sweep. Lower park thresholds trade steal latency for idle cost — on an
+  /// oversubscribed host (the common case at 8-13 workers) parking early is
+  /// what keeps failed sweeps off the bus.
   uint32_t backoff_park_sweeps = 2;
 
   /// Dependent-chain splitting: a worker executes up to `chain_split_depth`
@@ -101,7 +99,8 @@ struct ParallelStats {
   /// Folds another cycle's numbers into this accumulator: traffic counters
   /// and wall time add; the lifetime gauges (pool slabs, arena snapshot)
   /// take the newer cycle's value. The one merge rule for every call site
-  /// (Engine::match, bench_scheduler, ...) instead of per-site field lists.
+  /// (the per-worker merge, AgentGroup's drain, tests) instead of per-site
+  /// field lists.
   void accumulate(const ParallelStats& st) {
     tasks += st.tasks;
     steals += st.steals;
@@ -170,11 +169,12 @@ class ActivationPool {
 
 class ParallelMatcher {
  public:
-  /// `primary` is registered as agent 0 — the single-agent call sites'
-  /// state. Additional agent sessions multiplex over the same workers and
-  /// network via register_agent(); every task carries its agent tag
+  /// No state is registered at construction: every agent session, agent 0
+  /// included, joins via register_agent() and multiplexes over the same
+  /// workers and network. Every task carries its agent tag
   /// (Activation::agent) and is executed against exactly that agent's
-  /// MatchState, so one agent's drain cannot observe or stall another's.
+  /// MatchState, so one agent's drain cannot observe or stall another's. A
+  /// cycle run before any registration must carry no seeds.
   /// `tracer`, when non-null, turns on event recording: prewarm() sizes one
   /// ring per worker (tracks 1..n; track 0 belongs to the engine thread)
   /// before any worker runs, and the scheduler loops record task spans,
@@ -189,14 +189,6 @@ class ParallelMatcher {
   /// profiler must outlive the matcher; it may be shared with the serial
   /// executor (worker indices line up: shard 0 is the engine thread only
   /// when the matcher is idle).
-  ParallelMatcher(Network& net, MatchState& primary, size_t n_workers,
-                  obs::Tracer* tracer = nullptr, StealTuning tuning = {},
-                  obs::MatchProfiler* profiler = nullptr);
-
-  /// Agent-less form for multi-agent serving (AgentGroup): no state is
-  /// registered at construction; every agent — including agent 0 — joins via
-  /// register_agent(). A cycle run before any registration must carry no
-  /// seeds.
   ParallelMatcher(Network& net, size_t n_workers,
                   obs::Tracer* tracer = nullptr, StealTuning tuning = {},
                   obs::MatchProfiler* profiler = nullptr);
@@ -277,7 +269,7 @@ class ParallelMatcher {
   void prewarm();
 
   Network& net_;
-  // Registered agent states, indexed by agent id (0 = the primary); null
+  // Registered agent states, indexed by agent id (registration order); null
   // marks an unregistered id. The worker loops re-bind their ExecContext
   // from this table per task.
   std::vector<MatchState*> states_;

@@ -1,9 +1,5 @@
 // Worker scheduling primitives for the parallel matcher.
 //
-//   run_workers  — the original fork-join helper: spawns `n` std::threads,
-//                  joins them, rethrows the first worker exception. Still
-//                  used by tests and one-shot drains; costs a thread spawn
-//                  per worker per call.
 //   WorkerPool   — persistent pool: threads are spawned once and parked on a
 //                  condition variable between jobs, so a ParallelMatcher can
 //                  run thousands of match cycles without touching
@@ -41,10 +37,6 @@
 #include "par/mutex.h"
 
 namespace psme {
-
-/// fn(worker_index) is called once per worker, concurrently. One-shot:
-/// spawns and joins threads every call.
-void run_workers(size_t n, const std::function<void(size_t)>& fn);
 
 /// One spin-wait hint: tells the core a sibling hyperthread may run (x86
 /// `pause`); elsewhere a compiler barrier so the loop is not optimized away.

@@ -21,8 +21,9 @@
 // end() tears the transient production back out through the removal path
 // (Engine::remove_production_runtime) — unsplice at a COW publish, drain,
 // reclaim — leaving network and agent state exactly as before begin(). The
-// add/match/remove cycle is the churn workload bench_query measures and
-// query_churn_test soaks; it is the hot-path stress test for removal.
+// add/match/remove cycle is the churn workload perfbench's query-churn
+// measures and query_churn_test soaks; it is the hot-path stress test for
+// removal.
 //
 // Cue restrictions: positive CEs only (no `-(...)`, no `-{...}` groups) —
 // a cue describes what should be PRESENT in the graph; negation has no
@@ -52,8 +53,8 @@ struct QueryResult {
   uint32_t positive_ces = 0;  // cue size; score == positive_ces on full match
   std::vector<QueryMatch> matches;  // full graph matches (empty if partial)
 
-  /// Cost of installing / tearing down the cue (the churn numbers
-  /// bench_query aggregates).
+  /// Cost of installing / tearing down the cue (nodes built, tasks run,
+  /// entries purged).
   Engine::RuntimeAddResult add;
   Engine::RuntimeRemoveResult remove;
 
@@ -94,8 +95,8 @@ class QuerySession {
   /// i == 0. Entries are UINT32_MAX when unresolvable. A cue prefix shared
   /// with a resident production resolves to the SHARED node, whose profiler
   /// cell aggregates both tenants — snapshot-diff around the query isolates
-  /// the cue's own contribution (bench_query does). Empty without an active
-  /// cue.
+  /// the cue's own contribution (query_demo --profile does). Empty without
+  /// an active cue.
   [[nodiscard]] std::vector<uint32_t> ce_join_nodes() const;
 
   /// Removes the transient production, restoring the pre-begin network.

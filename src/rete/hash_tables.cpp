@@ -84,10 +84,4 @@ PairedHashTables::PurgeCounts PairedHashTables::purge_nodes(
   return counts;
 }
 
-uint64_t PairedHashTables::total_lock_spins() const {
-  uint64_t n = 0;
-  for (const auto& ln : lines_) n += ln.lock.total_spins();
-  return n;
-}
-
 }  // namespace psme

@@ -136,9 +136,6 @@ class PairedHashTables {
   [[nodiscard]] size_t total_right_entries() const
       PSME_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Sum of spins over all line locks (diagnostics for the threaded matcher).
-  [[nodiscard]] uint64_t total_lock_spins() const;
-
   /// Enumerates left entries belonging to `node_id`. Not synchronized with
   /// concurrent match; callers use it only between cycles (the §5.2 update
   /// runs when match is quiescent).

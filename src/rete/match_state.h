@@ -42,9 +42,7 @@ struct AlphaMemState {
 /// One agent's complete mutable match state.
 class MatchState {
  public:
-  explicit MatchState(size_t hash_lines = 4096,
-                      uint32_t arena_chunk_bytes = TokenArena::kDefaultChunkBytes)
-      : tables(hash_lines), arena(1, arena_chunk_bytes) {}
+  explicit MatchState(size_t hash_lines = 4096) : tables(hash_lines) {}
   MatchState(const MatchState&) = delete;
   MatchState& operator=(const MatchState&) = delete;
 

@@ -77,7 +77,7 @@ struct SoarRunStats {
   /// phase per decision). Elaborate covers the parallel-drain-friendly match
   /// work; Decide and GC run serially between drains — these three settle
   /// the ROADMAP question of whether that serial gap matters as sessions
-  /// scale (bench_multiagent reports their shares).
+  /// scale (perfbench's soar-learn reports their shares as soar.*_share).
   uint64_t elaborate_ns = 0;
   uint64_t decide_ns = 0;
   uint64_t gc_ns = 0;

@@ -108,6 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GroupCase{"steal4x4", 4, 4},
                       GroupCase{"steal3x2", 3, 2},
                       GroupCase{"steal5x1", 5, 1},
+                      GroupCase{"steal16x8", 16, 8},
                       GroupCase{"serial3x0", 3, 0}),
     [](const auto& info) { return std::string(info.param.name); });
 

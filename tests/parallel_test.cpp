@@ -44,6 +44,39 @@ void add_workload_wmes(Engine& e, int n) {
   }
 }
 
+/// A linear join chain deeper than the default split depth (8): every CE
+/// binds <x>, so each head wme cascades through one join per level —
+/// (p chain-31 (d-c0 ^v <x>) (d-c1 ^v <x>) ... --> (halt)).
+constexpr int kChainDepth = 31;
+constexpr int kChainValues = 3;
+
+std::string chain_class(int i) { return "d-c" + std::to_string(i); }
+
+std::string chain_production() {
+  std::string p = "(p chain-" + std::to_string(kChainDepth);
+  for (int i = 0; i < kChainDepth; ++i) p += " (" + chain_class(i) + " ^v <x>)";
+  return p + " --> (halt))";
+}
+
+/// One wme per value for every chain class but the head, so a head wme
+/// added later completes exactly one token per level.
+void add_chain_body(Engine& e) {
+  for (int i = 1; i < kChainDepth; ++i) {
+    for (int v = 0; v < kChainValues; ++v) {
+      e.add_wme_text("(" + chain_class(i) + " ^v " + std::to_string(v) + ")");
+    }
+  }
+}
+
+std::vector<const Wme*> add_chain_heads(Engine& e) {
+  std::vector<const Wme*> heads;
+  for (int v = 0; v < kChainValues; ++v) {
+    heads.push_back(
+        e.add_wme_text("(" + chain_class(0) + " ^v " + std::to_string(v) + ")"));
+  }
+  return heads;
+}
+
 struct ParallelCase {
   size_t workers;
   StealTuning tuning = {};
@@ -69,31 +102,46 @@ StealTuning never_split() {
 class ParallelEquivalence : public ::testing::TestWithParam<ParallelCase> {};
 
 TEST_P(ParallelEquivalence, MatchesSerialResult) {
+  // Two cycles: the workload plus the chain's body, then the chain heads,
+  // whose cycle is one depth-31 linear cascade per head.
   const auto param = GetParam();
+  const std::string productions = workload_productions() + chain_production();
 
   Engine serial;
-  serial.load(workload_productions());
+  serial.load(productions);
   add_workload_wmes(serial, 20);
+  add_chain_body(serial);
+  serial.match();
+  add_chain_heads(serial);
   serial.match();
 
   Engine par;
-  par.load(workload_productions());
+  par.load(productions);
   add_workload_wmes(par, 20);
+  add_chain_body(par);
   // Drain the pending changes through the threaded matcher instead of
   // Engine::match().
   SeedCollector sc;
   for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-  ParallelMatcher matcher(par.net(), par.state(), param.workers, nullptr,
-                          param.tuning);
-  const ParallelStats st = matcher.run_cycle(sc.seeds);
+  ParallelMatcher matcher(par.net(), param.workers, nullptr, param.tuning);
+  matcher.register_agent(par.state());
+  ParallelStats st = matcher.run_cycle(sc.seeds);
+  par.wm().end_cycle();
+  SeedCollector heads;
+  for (const Wme* w : add_chain_heads(par)) par.net().inject(w, true, heads);
+  st.accumulate(matcher.run_cycle(heads.seeds));
+  par.wm().end_cycle();
   EXPECT_GT(st.tasks, 0u);
   if (param.workers > 1) {
     if (param.tuning.chain_split_depth == 1) {
       EXPECT_EQ(st.chain_inline, 0u);  // every link split to the deque
     } else if (param.tuning.chain_split_depth == 0) {
       EXPECT_EQ(st.chain_splits, 0u);  // chains never split
+    } else {
+      EXPECT_GT(st.chain_splits, 0u);  // the depth-31 chain outgrows 8
     }
   }
+  EXPECT_EQ(test::instantiation_count(par, "chain-31"), kChainValues);
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
   EXPECT_EQ(serial.state().tables.total_left_entries(),
@@ -152,7 +200,8 @@ TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
   for (const Wme* w : pr) {
     par.net().inject(w, false, sc);
   }
-  ParallelMatcher matcher(par.net(), par.state(), 4);
+  ParallelMatcher matcher(par.net(), 4);
+  matcher.register_agent(par.state());
   matcher.run_cycle(sc.seeds);
   for (const Wme* w : pr) par.wm().remove(w);
   par.wm().end_cycle();
@@ -167,7 +216,8 @@ TEST(ParallelMatcher, PersistentMatcherReusedAcrossCycles) {
   Engine serial, par;
   serial.load(workload_productions());
   par.load(workload_productions());
-  ParallelMatcher matcher(par.net(), par.state(), 4);
+  ParallelMatcher matcher(par.net(), 4);
+  matcher.register_agent(par.state());
 
   for (int round = 0; round < 3; ++round) {
     add_workload_wmes(serial, 8);
@@ -220,11 +270,12 @@ TEST(SchedulerEquivalence, StealTuningsEqualSerialThroughRuntimeAdd) {
   for (Engine* e : {&serial, &steal, &split, &nosplit}) {
     e->load(workload_productions());
   }
-  ParallelMatcher m_steal(steal.net(), steal.state(), 8);
-  ParallelMatcher m_split(split.net(), split.state(), 8, nullptr,
-                          split_heavy());
-  ParallelMatcher m_nosplit(nosplit.net(), nosplit.state(), 8, nullptr,
-                            never_split());
+  ParallelMatcher m_steal(steal.net(), 8);
+  m_steal.register_agent(steal.state());
+  ParallelMatcher m_split(split.net(), 8, nullptr, split_heavy());
+  m_split.register_agent(split.state());
+  ParallelMatcher m_nosplit(nosplit.net(), 8, nullptr, never_split());
+  m_nosplit.register_agent(nosplit.state());
 
   auto parallel_wave = [&](Engine& e, ParallelMatcher& m, int n) {
     std::vector<const Wme*> before = e.wm().live();

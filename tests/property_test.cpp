@@ -154,7 +154,8 @@ TEST_P(SerialParallelProperty, ParallelMatchesSerial) {
                                  w->fields);
     par.net().inject(nw, true, collector);
   }
-  ParallelMatcher matcher(par.net(), par.state(), 1 + seed % 6);
+  ParallelMatcher matcher(par.net(), 1 + seed % 6);
+  matcher.register_agent(par.state());
   matcher.run_cycle(collector.seeds);
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par)) << "seed " << seed;

@@ -61,6 +61,14 @@ TEST(Psim, MoreProcessorsNeverSlowMultiQueue) {
   const auto p8 = simulate_cycle(t, opts_with(8));
   EXPECT_GT(p1.makespan_us, p4.makespan_us);
   EXPECT_GE(p4.makespan_us, p8.makespan_us * 0.95);
+  // No processor cap: 256 virtual processors (far past the paper's 13) run
+  // every task, and a trace wider than 13 still speeds up past 13.
+  const CycleTrace wide = synthetic_trace(512, 4);
+  const auto p13 = simulate_cycle(wide, opts_with(13));
+  const auto p256 = simulate_cycle(wide, opts_with(256));
+  EXPECT_EQ(p256.tasks, 2048u);
+  EXPECT_GT(p256.speedup(), p13.speedup());
+  EXPECT_GT(p256.speedup(), 13.0);
 }
 
 TEST(Psim, SpeedupBoundedByProcessorsAndWidth) {

@@ -15,8 +15,8 @@
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "par/parallel_match.h"
-#include "par/worker_pool.h"
 #include "rete/update.h"
+#include "run_workers.h"
 #include "test_util.h"
 
 // Iteration counts scale down under sanitizer instrumentation (5-20x
@@ -37,6 +37,7 @@ namespace psme {
 namespace {
 
 using test::cs_fingerprint;
+using test::run_workers;
 
 constexpr int kIters = PSME_SANITIZED_BUILD ? 400 : 3000;
 constexpr size_t kWorkers = 8;
@@ -98,7 +99,8 @@ void parallel_cycle(Engine& e, const std::vector<const Wme*>& adds,
   if (matcher != nullptr) {
     matcher->run_cycle(sc.seeds);
   } else {
-    ParallelMatcher local(e.net(), e.state(), kWorkers, nullptr, c.tuning);
+    ParallelMatcher local(e.net(), kWorkers, nullptr, c.tuning);
+    local.register_agent(e.state());
     local.run_cycle(sc.seeds);
   }
 }
@@ -192,7 +194,8 @@ TEST_P(RaceStressPolicy, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
   }
   Engine live;
   live.load(base);
-  ParallelMatcher matcher(live.net(), live.state(), kWorkers, nullptr, c.tuning);
+  ParallelMatcher matcher(live.net(), kWorkers, nullptr, c.tuning);
+  matcher.register_agent(live.state());
 
   for (int wv = 0; wv < waves; ++wv) {
     add_stress_wmes(ref, 12, wv);
@@ -254,7 +257,8 @@ TEST(RaceStress, StealParkingUnderUnevenLoad) {
   par.load(stress_productions());
   StealTuning eager;
   eager.backoff_park_sweeps = 0;
-  ParallelMatcher matcher(par.net(), par.state(), kWorkers, nullptr, eager);
+  ParallelMatcher matcher(par.net(), kWorkers, nullptr, eager);
+  matcher.register_agent(par.state());
 
   uint64_t parks = 0;
   for (int c = 0; c < cycles; ++c) {

@@ -236,7 +236,8 @@ void expect_update_allocation_flat(size_t workers) {
   TraceExecutor serial(e.net(), e.state(), /*record_tasks=*/false);
   std::unique_ptr<ParallelMatcher> matcher;
   if (workers > 1) {
-    matcher = std::make_unique<ParallelMatcher>(e.net(), e.state(), workers);
+    matcher = std::make_unique<ParallelMatcher>(e.net(), workers);
+    matcher->register_agent(e.state());
   }
   auto drain = test::update_drain(serial, matcher.get());
   UpdateScratch scratch;

@@ -8,9 +8,8 @@
 #   tools/check.sh tsan asan  # a subset
 #
 # Stages: default, tsan, asan, ubsan, lint (network_lint over every
-# registry production set, JSON reports into LINT_*.json), tidy, and bench
-# (opt-in: not part of the default set; runs tools/bench_json.sh to produce
-# BENCH_*.json).
+# registry production set, JSON reports into LINT_*.json) and tidy.
+# Performance is measured separately, by perfbench (python3 perfbench/run.py).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -34,10 +33,6 @@ for stage in "${stages[@]}"; do
   case "$stage" in
     default|tsan|asan|ubsan)
       run_preset "$stage"
-      ;;
-    bench)
-      echo "==== [bench] machine-readable benchmarks ===="
-      tools/bench_json.sh
       ;;
     lint)
       echo "==== [lint] network verifier + cost linter ===="
