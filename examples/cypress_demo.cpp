@@ -18,7 +18,12 @@ using namespace psme;
 int main(int argc, char** argv) {
   bool want_stats = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stats") == 0) want_stats = true;
+    if (std::strcmp(argv[i], "--stats") == 0) {
+      want_stats = true;
+    } else {
+      std::fprintf(stderr, "cypress_demo: unknown option %s\n", argv[i]);
+      return 2;
+    }
   }
   Task task = make_cypress();
   SoarOptions opts;

@@ -127,6 +127,9 @@ int main(int argc, char** argv) {
       tuning.chain_split_depth = value();
     } else if (std::strcmp(argv[i], "--steal-backoff-park") == 0) {
       tuning.backoff_park_sweeps = value();
+    } else {
+      std::fprintf(stderr, "eight_puzzle_demo: unknown option %s\n", argv[i]);
+      return 2;
     }
   }
   const Task task = make_eight_puzzle();

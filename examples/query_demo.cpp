@@ -92,8 +92,14 @@ int main(int argc, char** argv) {
   bool want_stats = false;
   bool want_profile = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stats") == 0) want_stats = true;
-    if (std::strcmp(argv[i], "--profile") == 0) want_profile = true;
+    if (std::strcmp(argv[i], "--stats") == 0) {
+      want_stats = true;
+    } else if (std::strcmp(argv[i], "--profile") == 0) {
+      want_profile = true;
+    } else {
+      std::fprintf(stderr, "query_demo: unknown option %s\n", argv[i]);
+      return 2;
+    }
   }
 
   EngineOptions eo;

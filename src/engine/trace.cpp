@@ -1,5 +1,7 @@
 #include "engine/trace.h"
 
+#include <map>
+
 #include "obs/record.h"
 
 namespace psme {
@@ -10,7 +12,20 @@ void CycleTrace::append(CycleTrace&& other) {
     if (r.parent != UINT32_MAX) r.parent += base;
     tasks.push_back(std::move(r));
   }
-  for (auto& la : other.line_accesses) line_accesses.push_back(la);
+}
+
+std::vector<LineAccess> line_accesses(const CycleTrace& trace) {
+  std::map<uint32_t, LineAccess> by_line;
+  for (const TaskRecord& r : trace.tasks) {
+    if (r.stats.line == UINT32_MAX) continue;
+    LineAccess& la = by_line[r.stats.line];
+    la.line = r.stats.line;
+    ++(r.stats.line_side == Side::Left ? la.left : la.right);
+  }
+  std::vector<LineAccess> out;
+  out.reserve(by_line.size());
+  for (const auto& [line, la] : by_line) out.push_back(la);
+  return out;
 }
 
 void TraceExecutor::emit(Activation&& a) {
@@ -67,13 +82,6 @@ CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds,
     if (record_) trace_.tasks[index].stats = stats;
   }
   current_parent_ = UINT32_MAX;
-  if (record_) {
-    trace_.line_accesses = state->tables.harvest_cycle_accesses();
-  } else {
-    // No-trace cycles still reset the per-cycle counters, but without
-    // building (and so allocating) the harvest vector.
-    state->tables.reset_cycle_accesses();
-  }
   state->arena.reclaim_at_quiescence();
   update = nullptr;
   return std::move(trace_);

@@ -15,7 +15,6 @@
 #include "base/ring.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
-#include "rete/hash_tables.h"
 #include "rete/network.h"
 
 namespace psme {
@@ -31,7 +30,6 @@ struct TaskRecord {
 
 struct CycleTrace {
   std::vector<TaskRecord> tasks;
-  std::vector<PairedHashTables::LineAccess> line_accesses;
 
   [[nodiscard]] size_t task_count() const { return tasks.size(); }
 
@@ -39,6 +37,18 @@ struct CycleTrace {
   /// update phases that may run concurrently.
   void append(CycleTrace&& other);
 };
+
+/// One hash line's accesses within a trace, split by bucket side.
+struct LineAccess {
+  uint32_t line = 0;
+  uint32_t left = 0;
+  uint32_t right = 0;
+};
+
+/// The per-line access counts of `trace` (the Figure 6-2 contention data),
+/// derived from its task records: every task that locked a line names it in
+/// TaskStats::line. Lines ascend; untouched lines are omitted.
+std::vector<LineAccess> line_accesses(const CycleTrace& trace);
 
 class TraceExecutor final : public ExecContext {
  public:

@@ -12,7 +12,7 @@ std::vector<double> left_access_distribution(
   std::vector<uint64_t> tokens_at(max_bin + 1, 0);
   uint64_t total = 0;
   for (const CycleTrace& t : traces) {
-    for (const auto& la : t.line_accesses) {
+    for (const LineAccess& la : line_accesses(t)) {
       if (la.left == 0) continue;
       const size_t bin = std::min<size_t>(la.left, max_bin);
       tokens_at[bin] += la.left;

@@ -46,7 +46,7 @@ SimCycleResult simulate_cycle(const CycleTrace& trace, const SimOptions& opts,
   for (uint32_t i = 0; i < n; ++i) {
     const TaskRecord& r = trace.tasks[i];
     cost[i] = opts.cost.task_cost(r);
-    if (opts.model_line_locks && r.stats.touched_line) {
+    if (opts.model_line_locks && r.stats.line != UINT32_MAX) {
       line_of[i] = r.stats.line;
       line_hold[i] =
           std::min(cost[i], opts.cost.per_probe * r.stats.probes +

@@ -72,9 +72,29 @@ uint32_t QuerySession::positive_ces() const {
   return static_cast<uint32_t>(prod_->positive_ce_count());
 }
 
+const Node* QuerySession::pnode_feeder() const {
+  const CompiledProduction& cp = engine_.record(prod_).compiled;
+  const Network& net = engine_.network().net();
+  const Jumptable& jt = net.jumptable();
+  auto feeds_pnode = [&](uint32_t id) {
+    const Node* node = net.node(id);
+    if (node == nullptr) return false;
+    for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
+      if (ref.node == cp.pnode && ref.side == Side::Left) return true;
+    }
+    return false;
+  };
+  for (const uint32_t id : cp.new_nodes) {
+    if (feeds_pnode(id)) return net.node(id);
+  }
+  for (const uint32_t id : cp.shared_nodes) {
+    if (feeds_pnode(id)) return net.node(id);
+  }
+  return nullptr;
+}
+
 uint32_t QuerySession::score() const {
   if (prod_ == nullptr) return 0;
-  const CompiledProduction& cp = engine_.record(prod_).compiled;
   const Network& net = engine_.network().net();
 
   // Full instantiation in the conflict set: every CE matched.
@@ -86,31 +106,11 @@ uint32_t QuerySession::score() const {
 
   // Otherwise: deepest join in the cue's chain whose left memory holds a
   // live token. A token waiting at a join's left input means left_arity
-  // leading CEs are jointly satisfied. Find the P-node's feeder by scanning
-  // the compile record's nodes for the {pnode, Left} splice, then walk
-  // left_pred toward the alpha network (cues are positive-only, so the
-  // chain is pure Join).
-  const Jumptable& jt = net.jumptable();
-  const Node* feeder = nullptr;
-  auto feeds_pnode = [&](uint32_t id) {
-    const Node* node = net.node(id);
-    if (node == nullptr) return false;
-    for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
-      if (ref.node == cp.pnode && ref.side == Side::Left) return true;
-    }
-    return false;
-  };
-  for (const uint32_t id : cp.new_nodes) {
-    if (feeds_pnode(id)) { feeder = net.node(id); break; }
-  }
-  if (feeder == nullptr) {
-    for (const uint32_t id : cp.shared_nodes) {
-      if (feeds_pnode(id)) { feeder = net.node(id); break; }
-    }
-  }
-
+  // leading CEs are jointly satisfied. Walk left_pred from the P-node's
+  // feeder toward the alpha network (cues are positive-only, so the chain
+  // is pure Join).
   const MatchState& ms = engine_.state();
-  const Node* cur = feeder;
+  const Node* cur = pnode_feeder();
   while (cur != nullptr &&
          (cur->type == NodeType::Join || cur->type == NodeType::Not)) {
     const auto& join = static_cast<const TwoInputNode&>(*cur);
@@ -138,34 +138,13 @@ uint32_t QuerySession::score() const {
 std::vector<uint32_t> QuerySession::ce_join_nodes() const {
   std::vector<uint32_t> out;
   if (prod_ == nullptr) return out;
-  const CompiledProduction& cp = engine_.record(prod_).compiled;
   const Network& net = engine_.network().net();
   out.assign(positive_ces(), UINT32_MAX);
-
-  // Same feeder hunt as score(): the node splicing into {pnode, Left}.
-  const Jumptable& jt = net.jumptable();
-  const Node* feeder = nullptr;
-  auto feeds_pnode = [&](uint32_t id) {
-    const Node* node = net.node(id);
-    if (node == nullptr) return false;
-    for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
-      if (ref.node == cp.pnode && ref.side == Side::Left) return true;
-    }
-    return false;
-  };
-  for (const uint32_t id : cp.new_nodes) {
-    if (feeds_pnode(id)) { feeder = net.node(id); break; }
-  }
-  if (feeder == nullptr) {
-    for (const uint32_t id : cp.shared_nodes) {
-      if (feeds_pnode(id)) { feeder = net.node(id); break; }
-    }
-  }
 
   // Walk the pure-Join chain toward the alpha network: the join that takes
   // an i-wme left token handles CE i; the chain bottoms out at CE 0's alpha
   // memory (also the whole cue, for a single-CE cue).
-  const Node* cur = feeder;
+  const Node* cur = pnode_feeder();
   while (cur != nullptr &&
          (cur->type == NodeType::Join || cur->type == NodeType::Not)) {
     const auto& join = static_cast<const TwoInputNode&>(*cur);

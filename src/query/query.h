@@ -108,6 +108,11 @@ class QuerySession {
   QueryResult ask(std::string_view cue_ces);
 
  private:
+  /// The node that splices into the active cue's {pnode, Left} input: found
+  /// among the compile record's new nodes, then its shared ones; null if
+  /// neither holds it.
+  [[nodiscard]] const Node* pnode_feeder() const;
+
   Engine& engine_;
   const Production* prod_ = nullptr;  // the active transient production
   Symbol name_;  // gensym'd at the first begin(), reused by every cue

@@ -5,6 +5,32 @@
 
 namespace psme {
 
+namespace {
+
+/// Locks one hash line for the running task and records the access in the
+/// task's stats: the line, the side, the spins and one insert. This is the
+/// only record of a line access; the Figure 6-2 counts and psim's line-lock
+/// model are derived from it (engine/trace.h).
+class PSME_SCOPED_CAPABILITY LineGuard {
+ public:
+  LineGuard(PairedHashTables::Line& line, size_t index, Side side,
+            TaskStats& stats) PSME_ACQUIRE(line.lock)
+      : lock_(line.lock) {
+    stats.lock_spins += static_cast<uint32_t>(line.lock.lock());
+    stats.line = static_cast<uint32_t>(index);
+    stats.line_side = side;
+    ++stats.inserts;
+  }
+  ~LineGuard() PSME_RELEASE() { lock_.unlock(); }
+  LineGuard(const LineGuard&) = delete;
+  LineGuard& operator=(const LineGuard&) = delete;
+
+ private:
+  Spinlock& lock_;
+};
+
+}  // namespace
+
 Network::Network(SymbolTable& syms, ClassSchemas& schemas)
     : syms_(syms), schemas_(schemas) {}
 
@@ -124,17 +150,7 @@ void Network::exec_bjoin(const BJoinNode& n, const Activation& a,
   auto& children = ctx.scratch_children;
   children.clear();
   {
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = a.side;
-    if (a.side == Side::Left) {
-      ++line.left_accesses_cycle;
-    } else {
-      ++line.right_accesses_cycle;
-    }
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, a.side, ctx.stats);
     if (a.add) {
       // Cancel against a conjugate deletion that overtook this insertion.
       for (auto it = line.left.begin(); it != line.left.end(); ++it) {
@@ -219,13 +235,7 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
     const uint64_t h = n.hash_left(a.token);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
     if (a.add) {
       // A conjugate deletion that overtook this insertion cancels it; both
       // halves emit nothing (see the anti-entry note in hash_tables.h).
@@ -268,13 +278,7 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
     const uint64_t h = n.hash_right(w);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Right;
-    ++line.right_accesses_cycle;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Right, ctx.stats);
     if (a.add) {
       line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
     } else {
@@ -308,13 +312,7 @@ void Network::exec_not(const NotNode& n, const Activation& a,
     const uint64_t h = n.hash_left(a.token);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
     if (a.add) {
       // Cancel against a conjugate deletion that overtook this insertion.
       bool cancelled = false;
@@ -358,13 +356,7 @@ void Network::exec_not(const NotNode& n, const Activation& a,
     const uint64_t h = n.hash_right(w);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Right;
-    ++line.right_accesses_cycle;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Right, ctx.stats);
     if (a.add) {
       line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
       for (LeftEntry& l : line.left) {
@@ -402,13 +394,7 @@ void Network::exec_ncc(const NccNode& n, const Activation& a,
   auto& emissions = ctx.scratch_emissions;
   emissions.clear();
   {
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
     LeftEntry* entry = nullptr;
     for (LeftEntry& e : line.left) {
       ++ctx.stats.probes;
@@ -470,13 +456,7 @@ void Network::exec_partner(const NccPartnerNode& n, const Activation& a,
   auto& emissions = ctx.scratch_emissions;
   emissions.clear();
   {
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
     LeftEntry* entry = nullptr;
     for (LeftEntry& e : line.left) {
       ++ctx.stats.probes;

@@ -50,9 +50,8 @@ struct TaskStats {
   uint32_t inserts = 0;      // memory insertions/removals
   uint32_t emits = 0;        // successor activations emitted
   uint32_t lock_spins = 0;   // spins on the line lock
-  uint32_t line = UINT32_MAX;     // hash line touched (if any)
-  bool touched_line = false;
-  Side line_side = Side::Left;
+  uint32_t line = UINT32_MAX;     // hash line touched; UINT32_MAX = none
+  Side line_side = Side::Left;    // which bucket of `line` the task used
 
   void reset() { *this = TaskStats{}; }
 };

@@ -160,15 +160,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelCase{4, never_split()},
                       ParallelCase{8, never_split()}));
 
-TEST(Spinlock, CountsAcquires) {
-  Spinlock l;
-  { SpinGuard g(l); }
-  { SpinGuard g(l); }
-  EXPECT_EQ(l.total_acquires(), 2u);
-  l.reset_stats();
-  EXPECT_EQ(l.total_acquires(), 0u);
-}
-
 TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
   // Adds followed by deletes in a single cycle: the delete-token path under
   // concurrency.

@@ -178,8 +178,29 @@ TEST(Report, TasksPerCycleHistogram) {
 }
 
 TEST(Report, LeftAccessDistributionSumsTo100) {
+  // Line 0: 3 left accesses; line 1: 1 left, 2 right; line 2: 5 right.
   CycleTrace t;
-  t.line_accesses = {{0, 3, 0}, {1, 1, 2}, {2, 0, 5}};
+  auto access = [&t](uint32_t line, Side side, int times) {
+    for (int i = 0; i < times; ++i) {
+      TaskRecord r;
+      r.type = NodeType::Join;
+      r.stats.line = line;
+      r.stats.line_side = side;
+      t.tasks.push_back(r);
+    }
+  };
+  access(2, Side::Right, 5);
+  access(0, Side::Left, 3);
+  access(1, Side::Right, 2);
+  access(1, Side::Left, 1);
+  t.tasks.push_back(TaskRecord{});  // a task that touched no line
+  const auto lines = line_accesses(t);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].line, 0u);
+  EXPECT_EQ(lines[0].left, 3u);
+  EXPECT_EQ(lines[1].left, 1u);
+  EXPECT_EQ(lines[1].right, 2u);
+  EXPECT_EQ(lines[2].right, 5u);
   const auto pct = left_access_distribution({t});
   double sum = 0;
   for (const double p : pct) sum += p;

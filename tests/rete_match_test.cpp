@@ -184,7 +184,7 @@ TEST(ReteMatch, HashDistributesAcrossLines) {
   auto trace = e.match();
   // 64 distinct binding values should touch many distinct lines.
   std::set<uint32_t> lines;
-  for (const auto& la : trace.line_accesses) lines.insert(la.line);
+  for (const LineAccess& la : line_accesses(trace)) lines.insert(la.line);
   EXPECT_GT(lines.size(), 16u);
 }
 
@@ -197,7 +197,7 @@ TEST(ReteMatch, SameBindingsShareALine) {
   // The left token and right wme for binding 1 hash to the same line: one
   // line shows both a left and a right access.
   bool both = false;
-  for (const auto& la : trace.line_accesses) {
+  for (const LineAccess& la : line_accesses(trace)) {
     if (la.left > 0 && la.right > 0) both = true;
   }
   EXPECT_TRUE(both);
